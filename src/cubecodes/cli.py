@@ -73,7 +73,6 @@ def _cmd_search(args) -> int:
         node_budget=args.budget_nodes,
         time_budget=args.budget_seconds,
         seed=args.seed,
-        threads=args.threads,
     )
     _emit(json.dumps(outcome.to_json_dict()) + "\n", args.output)
     if outcome.status == STATUS_EXHAUSTED:
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--budget-nodes", type=int, default=None)
     p_search.add_argument("--budget-seconds", type=float, default=None)
     p_search.add_argument("--seed", type=int, default=0, help="search-order seed (0 = canonical)")
-    p_search.add_argument("--threads", type=int, default=1)
     p_search.add_argument("--output", "-o", default=None)
     p_search.set_defaults(func=_cmd_search)
 

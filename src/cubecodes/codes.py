@@ -4,10 +4,18 @@ A perfect code is a vertex set whose closed neighborhoods partition the
 vertex set.  Deciding or enumerating perfect codes is an exact-cover
 problem: the universe is V(G) and the candidate blocks are the closed
 neighborhoods N[v].  The search below is backtracking with the
-minimum-remaining-values rule: it always branches on the uncovered vertex
-with the fewest usable covering blocks (ties to the lowest vertex id) and
-eliminates conflicting blocks with bitmap arithmetic.  Forced moves
-(a single usable block) are applied iteratively, not recursively.
+minimum-remaining-values rule, run as one loop over an explicit stack of
+branch points, so its depth is not bounded by Python's recursion limit.
+At each node the lowest-id uncovered vertex with at most one usable
+covering block decides the move: none is a dead end, one is a forced move.
+Otherwise the search branches on the uncovered vertex with the fewest
+usable blocks (ties to the lowest id), trying them in candidate order.
+
+The cover state has two representations that give the same search tree,
+picked from the vertex count.  Below COUNTED_MIN_VERTICES, uncovered
+vertices and usable blocks are bitmaps and each node re-counts candidates
+by popcount.  From it up, each vertex also keeps its count of usable
+blocks, and a move decrements only the members of the blocks it drops.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
@@ -17,16 +25,12 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .limits import ResourceLimitError, default_node_budget, default_time_budget, engine_cap
 from .words import BitWord
 from .graphs import InducedGraph, VertexSet
-
-# A code is just a vertex set used as one.
-CodeSet = VertexSet
 
 MODE_FIRST = "first"
 MODE_PROVE_NONE = "prove_none"
@@ -71,18 +75,12 @@ def is_perfect_code(graph: InducedGraph, code) -> bool:
     """True iff the closed neighborhoods of the members partition V(G)."""
     code = _as_code(graph, code)
     cover = 0
-    disjoint = True
     for i in code.ids():
         nb = graph.closed_mask(i)
         if cover & nb:
-            disjoint = False
-            break
+            return False
         cover |= nb
-    partitions = disjoint and cover == (1 << len(graph)) - 1
-    # The definitional route and the code+domination route must agree.
-    both = is_code(graph, code) and is_dominating(graph, code)
-    assert partitions == both, "partition check disagrees with code+domination check"
-    return partitions
+    return cover == (1 << len(graph)) - 1
 
 
 @dataclass
@@ -113,28 +111,25 @@ class SearchOutcome:
         return out
 
 
-class _BudgetHit(Exception):
-    pass
+# From this vertex count up, the search keeps per-vertex candidate counts up
+# to date instead of re-counting them by popcount at every node.  Below it
+# the scan finds a forced vertex within a few popcounts, and the per-move
+# bookkeeping costs more than it saves: twice the time on the n=7 graphs
+# (99-128 vertices), break-even at about 190-200 vertices on Lucas,
+# Fibonacci and circular-run graphs, and 0.7x from about 210 vertices on.
+COUNTED_MIN_VERTICES = 200
+
+# Count held by a covered vertex: larger than any candidate count, even
+# after the decrements of the move that covers it.
+_COVERED = 1 << 62
 
 
-class _Found(Exception):
-    def __init__(self, chosen: tuple[int, ...]):
-        self.chosen = chosen
+class _Blocks:
+    """The closed-neighborhood blocks N[v] of one graph, as bitmaps over ids."""
 
-
-class _CoverSearch:
-    """One backtracking run over a fixed block table."""
-
-    def __init__(self, masks, order, node_budget, deadline, stop_at_first, collect):
+    def __init__(self, masks: list[int]):
         self.masks = masks
-        self.order = order
-        self.node_budget = node_budget
-        self.deadline = deadline
-        self.stop_at_first = stop_at_first
-        self.nodes = 0
-        self.count = 0
-        self.solutions: list[tuple[int, ...]] | None = [] if collect else None
-        self.chosen: list[int] = []
+        self.members: list[tuple[int, ...]] | None = None
         self._ball2: dict[int, int] = {}
 
     def conflicts(self, v: int) -> int:
@@ -150,60 +145,180 @@ class _CoverSearch:
             self._ball2[v] = m
         return m
 
-    def _tick(self):
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise _BudgetHit()
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetHit()
 
-    def run(self, uncovered: int, available: int):
-        masks = self.masks
-        pushed = 0
+class _BitmapCover:
+    """Cover state as two bitmaps; candidate counts are re-counted at every node."""
+
+    __slots__ = ("blocks", "uncovered", "available")
+
+    def __init__(self, blocks: _Blocks, uncovered: int, available: int):
+        self.blocks = blocks
+        self.uncovered = uncovered
+        self.available = available
+
+    def copy(self) -> _BitmapCover:
+        return _BitmapCover(self.blocks, self.uncovered, self.available)
+
+    def select(self) -> int:
+        """Usable blocks covering the vertex the search decides on next."""
+        masks = self.blocks.masks
+        available = self.available
+        best_count = None
+        best_cands = 0
+        m = self.uncovered
+        while m:
+            low = m & -m
+            m ^= low
+            cands = masks[low.bit_length() - 1] & available
+            c = cands.bit_count()
+            if c <= 1:
+                return cands
+            if best_count is None or c < best_count:
+                best_count = c
+                best_cands = cands
+        return best_cands
+
+    def take(self, v: int):
+        """Choose block v: cover N[v] and drop every block that overlaps it."""
+        self.uncovered &= ~self.blocks.masks[v]
+        self.available &= ~self.blocks.conflicts(v)
+
+
+class _CountedCover:
+    """Cover state that keeps each vertex's candidate count up to date.
+
+    counts[u] is the number of usable blocks covering the uncovered vertex u;
+    covered vertices hold _COVERED.  low holds the uncovered vertices whose
+    count is at most 1.  A move decrements only the members of the blocks it
+    drops, and select() reads the same vertex the popcount scan would.
+    """
+
+    __slots__ = ("blocks", "uncovered", "available", "counts", "low")
+
+    def __init__(self, blocks: _Blocks, uncovered: int, available: int, counts: list[int], low: int):
+        self.blocks = blocks
+        self.uncovered = uncovered
+        self.available = available
+        self.counts = counts
+        self.low = low
+
+    @classmethod
+    def root(cls, blocks: _Blocks, available: int) -> _CountedCover:
+        masks = blocks.masks
+        ids = list(range(len(masks)))  # one int object per id, shared by all blocks
+        members = []
+        for mask in masks:
+            block = []
+            while mask:
+                low = mask & -mask
+                block.append(ids[low.bit_length() - 1])
+                mask ^= low
+            members.append(tuple(block))
+        blocks.members = members
+        counts = [(mask & available).bit_count() for mask in masks]
+        low = 0
+        for u, c in enumerate(counts):
+            if c <= 1:
+                low |= 1 << u
+        return cls(blocks, (1 << len(masks)) - 1, available, counts, low)
+
+    def copy(self) -> _CountedCover:
+        return _CountedCover(self.blocks, self.uncovered, self.available, self.counts.copy(), self.low)
+
+    def select(self) -> int:
+        """Usable blocks covering the vertex the search decides on next."""
+        low = self.low
+        if low:
+            u = (low & -low).bit_length() - 1
+        else:
+            counts = self.counts
+            u = counts.index(min(counts))
+        return self.blocks.masks[u] & self.available
+
+    def take(self, v: int):
+        """Choose block v: cover N[v] and drop every block that overlaps it."""
+        blocks = self.blocks
+        members = blocks.members
+        counts = self.counts
+        for x in members[v]:
+            counts[x] = _COVERED
+        gone = blocks.conflicts(v)
+        dropped = gone & self.available
+        low = self.low
+        while dropped:
+            bit = dropped & -dropped
+            dropped ^= bit
+            for x in members[bit.bit_length() - 1]:
+                c = counts[x] - 1
+                counts[x] = c
+                if c <= 1:
+                    low |= 1 << x
+        self.uncovered &= ~blocks.masks[v]
+        self.available &= ~gone
+        self.low = low & self.uncovered
+
+
+class _CoverSearch:
+    """One backtracking run on an explicit stack of branch points."""
+
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect):
+        self.order = order
+        self.node_budget = node_budget
+        self.deadline = deadline
+        self.stop_at_first = stop_at_first
+        self.nodes = 0
+        self.count = 0
+        self.solutions: list[tuple[int, ...]] | None = [] if collect else None
+        self.witness: tuple[int, ...] | None = None
+
+    def run(self, state) -> str | None:
+        """Search below state; STATUS_FOUND or STATUS_BUDGET, or None once complete.
+
+        Each node covers the vertex that state.select() picks: no usable block
+        is a dead end, one is a forced move applied to the node's own state,
+        and more push a branch point whose children each get a copy of it
+        (the last child takes the original).
+        """
+        node_budget = self.node_budget
+        deadline = self.deadline
+        chosen: list[int] = []
+        stack: list[list] = []  # [state, candidates, next index, len(chosen)]
         while True:
-            self._tick()
-            if uncovered == 0:
+            self.nodes += 1
+            if node_budget is not None and self.nodes > node_budget:
+                return STATUS_BUDGET
+            if deadline is not None and self.nodes % 1024 == 0 and time.monotonic() > deadline:
+                return STATUS_BUDGET
+            if not state.uncovered:
                 self.count += 1
                 if self.solutions is not None:
-                    self.solutions.append(tuple(self.chosen))
+                    self.solutions.append(tuple(chosen))
                 if self.stop_at_first:
-                    raise _Found(tuple(self.chosen))
-                break
-            # MRV scan over uncovered vertices; stop early on a forced block.
-            best_count = None
-            best_cands = 0
-            m = uncovered
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                cands = masks[u] & available
-                c = cands.bit_count()
-                if c == 0:
-                    best_count = 0
-                    break
-                if best_count is None or c < best_count:
-                    best_count = c
-                    best_cands = cands
-                    if c == 1:
-                        break
-            if best_count == 0:
-                break  # some vertex can no longer be covered
-            if best_count == 1:
-                v = best_cands.bit_length() - 1
-                self.chosen.append(v)
-                pushed += 1
-                uncovered &= ~masks[v]
-                available &= ~self.conflicts(v)
-                continue
-            for v in self._ordered(best_cands):
-                self.chosen.append(v)
-                self.run(uncovered & ~masks[v], available & ~self.conflicts(v))
-                self.chosen.pop()
-            break
-        for _ in range(pushed):
-            self.chosen.pop()
+                    self.witness = tuple(chosen)
+                    return STATUS_FOUND
+            else:
+                cands = state.select()
+                if cands & (cands - 1):
+                    stack.append([state, self._ordered(cands), 0, len(chosen)])
+                elif cands:
+                    v = cands.bit_length() - 1
+                    state.take(v)
+                    chosen.append(v)
+                    continue
+            if not stack:
+                return None
+            frame = stack[-1]
+            base, tries, i, depth = frame
+            if i + 1 < len(tries):
+                frame[2] = i + 1
+                state = base.copy()
+            else:
+                stack.pop()
+                state = base
+            del chosen[depth:]
+            v = tries[i]
+            state.take(v)
+            chosen.append(v)
 
     def _ordered(self, cands: int) -> list[int]:
         out = []
@@ -251,7 +366,6 @@ def search_constrained(
     node_budget: int | None = None,
     time_budget: float | None = None,
     seed: int = 0,
-    threads: int = 1,
     collect_witnesses: bool = False,
 ) -> SearchOutcome:
     """Search perfect codes whose codewords all avoid the forbidden predicate.
@@ -259,10 +373,31 @@ def search_constrained(
     Blocks N[v] with forbidden(v) are removed from the cover; the universe
     to dominate is still all of V(G).  Budgets default to the
     CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment caps.
-    With threads > 1 the top-level branches run on a thread pool and any
-    node budget applies to each branch separately; verdicts and counts do
-    not depend on the pool size.
     """
+    return _search(
+        graph,
+        forbidden,
+        mode,
+        len(graph) >= COUNTED_MIN_VERTICES,
+        node_budget=node_budget,
+        time_budget=time_budget,
+        seed=seed,
+        collect_witnesses=collect_witnesses,
+    )
+
+
+def _search(
+    graph: InducedGraph,
+    forbidden: Callable[[BitWord], bool] | None,
+    mode: str,
+    counted: bool,
+    *,
+    node_budget: int | None = None,
+    time_budget: float | None = None,
+    seed: int = 0,
+    collect_witnesses: bool = False,
+) -> SearchOutcome:
+    """search_constrained with the cover-state representation given by counted."""
     mode = _normalize_mode(mode)
     masks = _closed_masks(graph)
     n_vertices = len(masks)
@@ -279,98 +414,35 @@ def search_constrained(
             if not forbidden(graph.word(i)):
                 allowed |= 1 << i
 
-    order = _candidate_order(n_vertices, seed)
-    full = (1 << n_vertices) - 1
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     started = time.monotonic()
-    stop_at_first = mode in (MODE_FIRST, MODE_PROVE_NONE)
-    collect = collect_witnesses and mode == MODE_ENUMERATE
-
-    def finish(status, *, chosen=None, count=None, solutions=None, nodes=0):
-        millis = int((time.monotonic() - started) * 1000)
-        witness = VertexSet.from_ids(graph, chosen) if chosen is not None else None
-        witnesses = None
-        if solutions is not None:
-            witnesses = [VertexSet.from_ids(graph, sol) for sol in sorted(solutions)]
-        return SearchOutcome(
-            status=status,
-            witness=witness,
-            count=count,
-            witnesses=witnesses,
-            nodes=nodes,
-            millis=millis,
-            seed=seed,
-        )
-
-    if threads <= 1 or mode == MODE_FIRST:
-        search = _CoverSearch(masks, order, node_budget, deadline, stop_at_first, collect)
-        try:
-            search.run(full, allowed)
-        except _Found as hit:
-            return finish(STATUS_FOUND, chosen=hit.chosen, nodes=search.nodes)
-        except _BudgetHit:
-            return finish(STATUS_BUDGET, nodes=search.nodes)
-        if mode == MODE_ENUMERATE:
-            return finish(
-                STATUS_ENUMERATED,
-                count=search.count,
-                solutions=search.solutions,
-                nodes=search.nodes,
-            )
-        return finish(STATUS_EXHAUSTED, nodes=search.nodes)
-
-    # Top-level fan-out: branch once on the root MRV vertex, then run each
-    # branch as an independent search.
-    root = _CoverSearch(masks, order, None, None, False, False)
-    if full == 0:
-        return finish(STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_FOUND,
-                      chosen=None if mode == MODE_ENUMERATE else (),
-                      count=1 if mode == MODE_ENUMERATE else None,
-                      nodes=1)
-    best_count = None
-    best_cands = 0
-    m = full
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        cands = masks[u] & allowed
-        c = cands.bit_count()
-        if best_count is None or c < best_count:
-            best_count = c
-            best_cands = cands
-            if c <= 1:
-                break
-    branches = root._ordered(best_cands)
-
-    def run_branch(v: int):
-        sub = _CoverSearch(masks, order, node_budget, deadline, stop_at_first, collect)
-        try:
-            sub.run(full & ~masks[v], allowed & ~root.conflicts(v))
-        except _Found as hit:
-            return ("found", (v,) + hit.chosen, sub)
-        except _BudgetHit:
-            return ("budget", None, sub)
-        return ("done", None, sub)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_branch, branches))
-
-    nodes = 1 + sum(sub.nodes for _, _, sub in results)
-    for status, chosen, _ in results:
-        if status == "found":
-            return finish(STATUS_FOUND, chosen=chosen, nodes=nodes)
-    if any(status == "budget" for status, _, _ in results):
-        return finish(STATUS_BUDGET, nodes=nodes)
-    if mode == MODE_ENUMERATE:
-        count = sum(sub.count for _, _, sub in results)
-        solutions = None
-        if collect:
-            solutions = []
-            for v, (_, _, sub) in zip(branches, results):
-                solutions.extend((v,) + sol for sol in sub.solutions)
-        return finish(STATUS_ENUMERATED, count=count, solutions=solutions, nodes=nodes)
-    return finish(STATUS_EXHAUSTED, nodes=nodes)
+    blocks = _Blocks(masks)
+    if counted:
+        root = _CountedCover.root(blocks, allowed)
+    else:
+        root = _BitmapCover(blocks, (1 << n_vertices) - 1, allowed)
+    search = _CoverSearch(
+        _candidate_order(n_vertices, seed),
+        node_budget,
+        deadline,
+        mode in (MODE_FIRST, MODE_PROVE_NONE),
+        collect_witnesses and mode == MODE_ENUMERATE,
+    )
+    status = search.run(root)
+    if status is None:
+        status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
+    witnesses = None
+    if status == STATUS_ENUMERATED and search.solutions is not None:
+        witnesses = [VertexSet.from_ids(graph, sol) for sol in sorted(search.solutions)]
+    return SearchOutcome(
+        status=status,
+        witness=VertexSet.from_ids(graph, search.witness) if search.witness is not None else None,
+        count=search.count if status == STATUS_ENUMERATED else None,
+        witnesses=witnesses,
+        nodes=search.nodes,
+        millis=int((time.monotonic() - started) * 1000),
+        seed=seed,
+    )
 
 
 def find_perfect_code(graph: InducedGraph, mode: str = MODE_FIRST, **kwargs) -> SearchOutcome:

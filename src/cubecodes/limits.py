@@ -26,18 +26,22 @@ class ResourceLimitError(RuntimeError):
         self.cap_value = cap_value
 
 
-def _int_env(name: str, default: int) -> int:
+def _parse_env(name: str, parse, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {parse.__name__}") from None
 
 
-def _float_env(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    return float(raw)
+def _int_env(name: str, default: int | None) -> int | None:
+    return _parse_env(name, int, default)
+
+
+def _float_env(name: str) -> float | None:
+    return _parse_env(name, float, None)
 
 
 def enum_cap() -> int:
@@ -57,8 +61,7 @@ def engine_cap() -> int:
 
 def default_node_budget():
     """Default search node budget (None = unbounded)."""
-    raw = os.environ.get(_ENV_BUDGET_NODES)
-    return int(raw) if raw is not None else None
+    return _int_env(_ENV_BUDGET_NODES, None)
 
 
 def default_time_budget():

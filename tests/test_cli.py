@@ -215,3 +215,18 @@ def test_help_lists_every_claim_id():
     help_text = verify_parser.format_help()
     for claim_id in CLAIM_IDS:
         assert claim_id in help_text
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("CUBECODES_BUDGET_NODES", "abc"),
+        ("CUBECODES_BUDGET_SECONDS", "soon"),
+        ("CUBECODES_ENGINE_CAP", "4k"),
+    ],
+)
+def test_malformed_env_value_names_the_variable(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, _, err = run_cli(capsys, "search", "--family", "lucas", "--n", "4", "--mode", "prove-none")
+    assert code == 1
+    assert name in err and repr(value) in err

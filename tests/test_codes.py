@@ -1,8 +1,10 @@
 """Perfect-code predicates and the exact-cover search engine."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecodes import (
     BitWord,
@@ -16,6 +18,7 @@ from cubecodes import (
     count_perfect_codes_dfs,
     enumerate_perfect_codes_naive,
     find_perfect_code,
+    gen_fibonacci,
     gen_lucas,
     has_circular_ones_run,
     is_code,
@@ -23,6 +26,7 @@ from cubecodes import (
     is_perfect_code,
     search_constrained,
 )
+from cubecodes.codes import COUNTED_MIN_VERTICES, _search
 from cubecodes.graphs import InducedGraph
 
 W = BitWord.from_string
@@ -170,16 +174,6 @@ def test_env_budget_override(monkeypatch):
     assert out.status == "exhausted"
 
 
-def test_threads_do_not_change_verdicts():
-    g = build_graph(LUCAS, 10)
-    assert find_perfect_code(g, "prove_none", threads=4).status == "exhausted"
-    q7 = build_graph(HYPERCUBE, 7)
-    assert find_perfect_code(q7, "enumerate", threads=4).count == 240
-    q3 = build_graph(HYPERCUBE, 3)
-    out = find_perfect_code(q3, "enumerate", threads=2, collect_witnesses=True)
-    assert out.count == 4 and len(out.witnesses) == 4
-
-
 def test_found_witnesses_revalidate():
     for family, n in ((HYPERCUBE, 7), (LUCAS, 2), (FIBONACCI, 3)):
         g = build_graph(family, n)
@@ -245,3 +239,113 @@ def test_foreign_code_rejected():
     code = VertexSet.from_words(other, [W("0000")])
     with pytest.raises(ValueError):
         is_perfect_code(g, code)
+
+
+# ---------------------------------------------------------------------------
+# The two cover-state representations against each other and the oracles
+# ---------------------------------------------------------------------------
+
+def _fingerprint(out):
+    witness = None if out.witness is None else out.witness.mask
+    witnesses = None if out.witnesses is None else [w.mask for w in out.witnesses]
+    return out.status, out.nodes, out.count, witness, witnesses
+
+
+def search_both(graph, forbidden, mode, **kwargs):
+    """Run the bitmap and the counted state on one input; they must agree exactly."""
+    bitmap = _search(graph, forbidden, mode, False, **kwargs)
+    counted = _search(graph, forbidden, mode, True, **kwargs)
+    assert _fingerprint(bitmap) == _fingerprint(counted)
+    return bitmap
+
+
+def check_against_oracles(graph, forbidden=None, seeds=(0, 5)):
+    """Enumerate and first mode on both states; counts must match the oracles."""
+    count = None
+    for seed in seeds:
+        out = search_both(graph, forbidden, "enumerate", seed=seed, collect_witnesses=True)
+        assert out.status == "enumerated"
+        assert count in (None, out.count)
+        count = out.count
+        for witness in out.witnesses:
+            assert is_perfect_code(graph, witness)
+            assert forbidden is None or not any(forbidden(w) for w in witness.words())
+        first = search_both(graph, forbidden, "first", seed=seed)
+        if count:
+            assert first.status == "found" and is_perfect_code(graph, first.witness)
+        else:
+            assert first.status == "exhausted"
+    assert count == count_perfect_codes_dfs(graph, forbidden)
+    if forbidden is None and len(graph) <= 14:
+        assert count == enumerate_perfect_codes_naive(graph)
+    return count
+
+
+def test_representations_agree_on_families():
+    for family in (HYPERCUBE, FIBONACCI, LUCAS):
+        for n in range(0, 10):
+            g = build_graph(family, n)
+            if len(g) <= 128:
+                check_against_oracles(g)
+            else:  # Q8 is exhausted in 712 nodes; Q9 needs far more
+                out = search_both(g, None, "enumerate", node_budget=3000)
+                assert (out.status, out.nodes) == (
+                    ("enumerated", 712) if n == 8 else ("budget-exceeded", 3001)
+                )
+    for s in range(2, 8):
+        for family in (gen_lucas(s), gen_fibonacci(s)):
+            check_against_oracles(build_graph(family, 7), seeds=(0, s))
+    q7 = build_graph(HYPERCUBE, 7)
+    for s in range(2, 8):
+        avoid = lambda w, s=s: has_circular_ones_run(w, s)
+        assert check_against_oracles(q7, avoid, seeds=(0, s)) == (0 if s < 7 else 210)
+
+
+@st.composite
+def induced_graphs(draw, max_words=24):
+    n = draw(st.integers(1, 6))
+    words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(max_words, 1 << n)))
+    return InducedGraph(n, sorted(words))
+
+
+@settings(max_examples=80)
+@given(graph=induced_graphs(), banned=st.none() | st.sets(st.integers(0, 63)), seed=st.integers(1, 10**6))
+def test_representations_agree_on_random_graphs(graph, banned, seed):
+    forbidden = None if banned is None else (lambda w: w.bits in banned)
+    check_against_oracles(graph, forbidden, seeds=(0, seed))
+
+
+def test_node_counts_are_pinned():
+    # Sizes of the MRV search tree: a change to the selection rule, the
+    # tie-break or the candidate order moves them.
+    for family, n, mode, nodes in (
+        (LUCAS, 10, "prove_none", 142),
+        (LUCAS, 12, "prove_none", 521),
+        (LUCAS, 13, "prove_none", 1461),
+        (LUCAS, 14, "prove_none", 3919),
+        (FIBONACCI, 13, "prove_none", 1835),
+        (HYPERCUBE, 7, "enumerate", 3169),
+    ):
+        g = build_graph(family, n)
+        out = search_both(g, None, mode)
+        assert out.nodes == nodes, (family, n)
+        assert find_perfect_code(g, mode).nodes == nodes
+    assert len(build_graph(HYPERCUBE, 7)) < COUNTED_MIN_VERTICES <= len(build_graph(LUCAS, 12))
+
+
+def test_deep_search_needs_no_recursion():
+    # 512 disjoint K2 pieces {x0, x1} with x of even weight: no edges run
+    # between pieces, so first mode branches once per piece, 512 deep.
+    words = sorted(x << 1 | b for x in range(1 << 10) if x.bit_count() % 2 == 0 for b in (0, 1))
+    g = InducedGraph(11, words)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        out = search_both(g, None, "first")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "found" and out.nodes == 513
+    assert len(out.witness) == 512 and is_perfect_code(g, out.witness)
