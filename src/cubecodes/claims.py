@@ -19,6 +19,7 @@ Claim ids (stable, used by the command line):
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,7 +40,13 @@ from .codes import (
     is_perfect_code,
     search_constrained,
 )
-from .hamming import S_KIND_FULL, S_KIND_MINUS_1, S_KIND_MINUS_2, construct_gen_lucas_code
+from .hamming import (
+    S_KIND_FULL,
+    S_KIND_MINUS_1,
+    S_KIND_MINUS_2,
+    build_hamming,
+    construct_gen_lucas_code,
+)
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -378,10 +385,9 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
     params = {"p_set": list(p_set)}
 
     def body(evidence):
-        from .hamming import build_hamming
-
         orders = {}
         for p in p_set:
+            hamming = build_hamming(p)
             for s_kind in (S_KIND_MINUS_1, S_KIND_MINUS_2):
                 code = construct_gen_lucas_code(p, s_kind)
                 graph = code.graph
@@ -391,16 +397,12 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
                 )
                 _require(is_perfect_code(graph, code), p=p, s_kind=s_kind, stage="perfect")
                 # Decoding any vertex of the graph lands inside the graph.
-                hamming = build_hamming(p)
                 for bits in graph.vertices:
-                    decoded = hamming.decode(BitWord(n, bits))
-                    _require(
-                        decoded.bits in graph.index,
-                        p=p,
-                        s_kind=s_kind,
-                        stage="decode closure",
-                        vertex=str(BitWord(n, bits)),
-                    )
+                    word = BitWord(n, bits)
+                    if hamming.decode(word).bits not in graph.index:
+                        raise _Failure(
+                            p=p, s_kind=s_kind, stage="decode closure", vertex=str(word)
+                        )
                 orders[f"p{p},{s_kind}"] = {
                     "code": len(code),
                     "graph": len(graph),
@@ -430,24 +432,26 @@ CLAIM_RUNNERS = {
 CLAIM_IDS = tuple(CLAIM_RUNNERS)
 
 
-def run_claim(claim_id: str, **params) -> ClaimReport:
-    """Run one claim check by id, forwarding only the given parameters."""
+def _runner(claim_id: str):
     try:
-        runner = CLAIM_RUNNERS[claim_id]
+        return CLAIM_RUNNERS[claim_id]
     except KeyError:
         raise ValueError(
             f"unknown claim id {claim_id!r}; valid ids: {', '.join(CLAIM_IDS)}"
         ) from None
-    return runner(**params)
+
+
+def applicable_params(claim_id: str, params: dict) -> dict:
+    """The entries of params that the claim's runner accepts."""
+    accepted = inspect.signature(_runner(claim_id)).parameters
+    return {k: v for k, v in params.items() if k in accepted}
+
+
+def run_claim(claim_id: str, **params) -> ClaimReport:
+    """Run one claim check by id, forwarding only the given parameters."""
+    return _runner(claim_id)(**params)
 
 
 def run_all(**params) -> list[ClaimReport]:
     """Run every claim check; parameters are forwarded where they apply."""
-    import inspect
-
-    reports = []
-    for claim_id, runner in CLAIM_RUNNERS.items():
-        accepted = inspect.signature(runner).parameters
-        kwargs = {k: v for k, v in params.items() if k in accepted}
-        reports.append(runner(**kwargs))
-    return reports
+    return [run_claim(claim_id, **applicable_params(claim_id, params)) for claim_id in CLAIM_IDS]

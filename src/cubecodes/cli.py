@@ -8,7 +8,6 @@ resource error, 2 usage error, 3 search exhausted with no code,
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -16,7 +15,7 @@ from .limits import ResourceLimitError
 from .words import BitWord, Family, has_circular_ones_run, iter_family_bits, parse_family
 from .graphs import VertexSet, build_graph
 from .codes import STATUS_BUDGET, STATUS_EXHAUSTED, search_constrained
-from .claims import CLAIM_IDS, CLAIM_RUNNERS, run_claim
+from .claims import CLAIM_IDS, applicable_params, run_claim
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -88,7 +87,7 @@ def _claim_params(args) -> dict:
         params["n_max"] = args.n_max
     if args.p is not None:
         params["p_set"] = [args.p]
-    if args.p_set is not None:
+    elif args.p_set is not None:
         params["p_set"] = args.p_set
     if args.n_set is not None:
         params["n_set"] = args.n_set
@@ -105,10 +104,9 @@ def _cmd_verify(args) -> int:
         # range parameters are claim-specific; only budgets fan out
         params = {k: v for k, v in params.items() if k in ("node_budget", "time_budget")}
     claim_ids = CLAIM_IDS if args.claim == "all" else (args.claim,)
-    reports = []
-    for claim_id in claim_ids:
-        accepted = inspect.signature(CLAIM_RUNNERS[claim_id]).parameters
-        reports.append(run_claim(claim_id, **{k: v for k, v in params.items() if k in accepted}))
+    reports = [
+        run_claim(claim_id, **applicable_params(claim_id, params)) for claim_id in claim_ids
+    ]
     if args.format == "json":
         _emit(json.dumps([r.to_json_dict() for r in reports]) + "\n", args.output)
     else:
@@ -200,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="claim id to check, or all: " + ", ".join(CLAIM_IDS),
     )
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--p", type=int, default=None, help="single Hamming parameter p")
-    p_verify.add_argument("--p-set", type=_int_list_arg, default=None, help="e.g. 2,3,4")
+    p_choice = p_verify.add_mutually_exclusive_group()
+    p_choice.add_argument("--p", type=int, default=None, help="single Hamming parameter p")
+    p_choice.add_argument("--p-set", type=_int_list_arg, default=None, help="e.g. 2,3,4")
     p_verify.add_argument("--n-set", type=_int_list_arg, default=None, help="e.g. 3,7")
     p_verify.add_argument("--budget-nodes", type=int, default=None)
     p_verify.add_argument("--budget-seconds", type=float, default=None)

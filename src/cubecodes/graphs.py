@@ -119,19 +119,23 @@ class InducedGraph:
         return None
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        """Whether every vertex is reachable from vertex 0; O(V + E)."""
+        total = len(self.vertices)
+        if not total:
             return True
-        seen = 1
-        queue = deque([0])
+        # A byte per vertex, not an integer bitmap: testing or setting one
+        # bit of a V-bit int costs O(V/64).
+        seen = bytearray(total)
+        seen[0] = 1
+        stack = [0]
         count = 1
-        while queue:
-            i = queue.popleft()
-            for j in self.neighbor_ids(i):
-                if not seen >> j & 1:
-                    seen |= 1 << j
+        while stack:
+            for j in self.neighbor_ids(stack.pop()):
+                if not seen[j]:
+                    seen[j] = 1
                     count += 1
-                    queue.append(j)
-        return count == len(self.vertices)
+                    stack.append(j)
+        return count == total
 
     def level_degree_profile(
         self,

@@ -31,23 +31,25 @@ class HammingCode:
 
     p: int
     n: int = field(init=False)
+    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.p <= 5:
             raise ValueError(f"p must be in 2..5, got {self.p}")
         object.__setattr__(self, "n", (1 << self.p) - 1)
+        object.__setattr__(self, "_rows", tuple(self.parity_check_rows()))
 
     def size(self) -> int:
         return 1 << (self.n - self.p)
 
     def syndrome_bits(self, bits: int) -> int:
-        """XOR of the positions (1-based from the left) holding a 1."""
+        """XOR of the positions (1-based from the left) holding a 1.
+
+        Bit i of that XOR is the parity of the ones under row i of H.
+        """
         syn = 0
-        n = self.n
-        while bits:
-            low = bits & -bits
-            syn ^= n - (low.bit_length() - 1)
-            bits ^= low
+        for i, row in enumerate(self._rows):
+            syn |= ((bits & row).bit_count() & 1) << i
         return syn
 
     def _check_length(self, w: BitWord):
@@ -75,8 +77,27 @@ class HammingCode:
                 "hamming_materialize_max_p",
                 MATERIALIZE_MAX_P,
             )
-        syndrome = self.syndrome_bits
-        return [bits for bits in range(1 << self.n) if syndrome(bits) == 0]
+        # One generator row per data position j (not a power of two): a 1 at
+        # j and at the parity positions 2^i for the set bits i of j, so its
+        # syndrome is j ^ j = 0.  Each row alone holds its data position, so
+        # the 2^(n-p) sums of rows are distinct: the whole code.  A Gray-code
+        # walk visits them by flipping one row per step.
+        n = self.n
+        rows = []
+        for j in range(1, n + 1):
+            if j & (j - 1):
+                row = 1 << (n - j)
+                for i in range(self.p):
+                    if j >> i & 1:
+                        row |= 1 << (n - (1 << i))
+                rows.append(row)
+        words = [0]
+        word = 0
+        for k in range(1, 1 << len(rows)):
+            word ^= rows[(k & -k).bit_length() - 1]
+            words.append(word)
+        words.sort()
+        return words
 
     def codewords(self) -> list[BitWord]:
         return [BitWord(self.n, bits) for bits in self.codeword_bits()]

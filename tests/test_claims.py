@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecodes import CLAIM_IDS, run_all, run_claim
+from cubecodes import CLAIM_IDS, BitWord, run_all, run_claim
 from cubecodes.claims import (
     check_cover_count_arithmetic,
     check_fibonacci_nonexistence,
@@ -14,6 +14,7 @@ from cubecodes.claims import (
     check_punctured_constructions,
     check_weight_counts,
 )
+from cubecodes.hamming import HammingCode
 
 # ids frozen so downstream tooling can key on them
 FROZEN_IDS = {
@@ -90,6 +91,18 @@ def test_hypercube_avoidance_n3():
 def test_constructions_small():
     assert check_full_run_construction(p_set=(2, 3)).verdict == "pass"
     assert check_punctured_constructions(p_set=(2, 3)).verdict == "pass"
+
+
+def test_decode_closure_failure_names_the_vertex(monkeypatch):
+    # a decoder that leaves the graph: 1^n is never a vertex of the punctured graphs
+    monkeypatch.setattr(
+        HammingCode, "decode", lambda self, w: BitWord(w.length, (1 << w.length) - 1)
+    )
+    report = check_punctured_constructions(p_set=(2,))
+    assert report.verdict == "fail"
+    assert report.evidence == {
+        "p": 2, "s_kind": "n-1", "stage": "decode closure", "vertex": "000",
+    }
 
 
 def test_reports_are_reproducible():

@@ -204,6 +204,13 @@ def test_verify_p_flag(capsys):
     assert payload[0]["params"]["p_set"] == [3]
 
 
+def test_verify_p_and_p_set_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--claim", "prop-1n", "--p", "3", "--p-set", "2,3"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_help_lists_every_claim_id():
     parser = build_parser()
     # find the verify subparser help text and cross-check the id list

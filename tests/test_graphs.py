@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cubecodes import (
     BitWord,
@@ -211,6 +212,54 @@ def test_large_graph_probes_neighbors_on_the_fly():
     assert g.graph_distance(zero, one_step) == 1
     nb = closed_neighborhood(g, zero)
     assert len(nb) == 18
+
+
+def _reference_connected(n: int, words: list[int]) -> bool:
+    """Breadth-first search over the word set itself, by single-bit flips."""
+    members = set(words)
+    if not members:
+        return True
+    start = min(members)
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for w in frontier:
+            for b in range(n):
+                x = w ^ (1 << b)
+                if x in members and x not in reached:
+                    reached.add(x)
+                    next_frontier.append(x)
+        frontier = next_frontier
+    return reached == members
+
+
+@st.composite
+def cube_subsets(draw):
+    """A word length n <= 7 and a set of words, drawn directly or as a complement."""
+    n = draw(st.integers(0, 7))
+    drawn = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=24))
+    if draw(st.booleans()):
+        drawn = set(range(1 << n)) - drawn
+    return n, sorted(drawn)
+
+
+@given(case=cube_subsets())
+@example(case=(3, []))
+@example(case=(0, [0]))
+@example(case=(3, [5]))
+@example(case=(3, [0b000, 0b011]))
+@example(case=(4, [0b0000, 0b0001, 0b1110, 0b1111]))
+@example(case=(7, list(range(1 << 7))))
+def test_is_connected_matches_reference_bfs(case):
+    n, words = case
+    assert InducedGraph(n, words).is_connected() == _reference_connected(n, words)
+
+
+def test_is_connected_large():
+    graph = build_graph(gen_lucas(13), 15)
+    assert len(graph) == 32737
+    assert graph.is_connected()
 
 
 def test_dot_export_golden():

@@ -48,6 +48,25 @@ def test_sizes_and_all_ones():
         assert code.is_codeword(BitWord(n, (1 << n) - 1))
 
 
+def syndrome_by_positions(n: int, bits: int) -> int:
+    """The definition: XOR of the 1-based positions, from the left, holding a 1."""
+    syn = 0
+    while bits:
+        low = bits & -bits
+        syn ^= n - (low.bit_length() - 1)
+        bits ^= low
+    return syn
+
+
+def test_syndrome_and_codewords_match_the_definition():
+    for p in (2, 3, 4):
+        code = build_hamming(p)
+        n = code.n
+        syndromes = [syndrome_by_positions(n, bits) for bits in range(1 << n)]
+        assert [code.syndrome_bits(bits) for bits in range(1 << n)] == syndromes
+        assert code.codeword_bits() == [bits for bits in range(1 << n) if syndromes[bits] == 0]
+
+
 def test_parity_check_annihilates_codewords():
     for p in (2, 3, 4):
         code = build_hamming(p)
