@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .limits import ResourceLimitError
+from .limits import ResourceLimitError, non_negative
 from .words import BitWord, Family, has_circular_ones_run, iter_family_bits, parse_family
 from .graphs import VertexSet, build_graph
 from .codes import STATUS_BUDGET, STATUS_EXHAUSTED, search_constrained
@@ -163,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     family_help = "family spec: qn | fib | lucas | fib1s:<s> | lucas1s:<s>"
+    # argparse reports their ValueError as "invalid non-negative int value"
+    budget_nodes, budget_seconds = non_negative(int), non_negative(float)
 
     p_enum = sub.add_parser("enumerate", help="list the members of a family")
     p_enum.add_argument("--family", type=_family_arg, required=True, help=family_help)
@@ -184,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict codewords to words with no cyclic run of S ones",
     )
-    p_search.add_argument("--budget-nodes", type=int, default=None)
-    p_search.add_argument("--budget-seconds", type=float, default=None)
+    p_search.add_argument("--budget-nodes", type=budget_nodes, default=None)
+    p_search.add_argument("--budget-seconds", type=budget_seconds, default=None)
     p_search.add_argument("--seed", type=int, default=0, help="search-order seed (0 = canonical)")
     p_search.add_argument("--output", "-o", default=None)
     p_search.set_defaults(func=_cmd_search)
@@ -202,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_choice.add_argument("--p", type=int, default=None, help="single Hamming parameter p")
     p_choice.add_argument("--p-set", type=_int_list_arg, default=None, help="e.g. 2,3,4")
     p_verify.add_argument("--n-set", type=_int_list_arg, default=None, help="e.g. 3,7")
-    p_verify.add_argument("--budget-nodes", type=int, default=None)
-    p_verify.add_argument("--budget-seconds", type=float, default=None)
+    p_verify.add_argument("--budget-nodes", type=budget_nodes, default=None)
+    p_verify.add_argument("--budget-seconds", type=budget_seconds, default=None)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--output", "-o", default=None)
     p_verify.set_defaults(func=_cmd_verify)

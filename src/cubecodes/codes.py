@@ -17,6 +17,11 @@ vertices and usable blocks are bitmaps and each node re-counts candidates
 by popcount.  From it up, each vertex also keeps its count of usable
 blocks, and a move decrements only the members of the blocks it drops.
 
+A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
+hands its open subtrees to forked worker processes, which run the same loop
+on them; merged in DFS order, they give the serial node counts, counts and
+witnesses.
+
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
 """
@@ -118,6 +123,33 @@ class SearchOutcome:
 # (99-128 vertices), break-even at about 190-200 vertices on Lucas,
 # Fibonacci and circular-run graphs, and 0.7x from about 210 vertices on.
 COUNTED_MIN_VERTICES = 200
+
+# The search reads the clock every CHECK_EVERY nodes, for its deadline and
+# its split alike.  A node costs at most about 60 us on the graphs measured
+# (Lucas n=16, 2,207 vertices), so a time budget overshoots by about 2 ms;
+# one read (about 0.1 us) is under 0.1% of the 4 us nodes of the n=7 graphs.
+CHECK_EVERY = 32
+
+# A search that has run this long splits into its open subtrees, which the
+# CPUs this process may use then search in forked worker processes.  A
+# split costs about 3 ms (fork, then reaping the child), so a search that
+# splits near its end runs slower: on a 2-CPU host, Lucas n=13 prove-none
+# (37-46 ms) ran at 0.8-1.0x of serial when split at 30 ms and at 1.1-1.4x
+# at 5-15 ms, while Lucas n=14 (4k nodes), n=15 (10k) and n=16 (24k) ran at
+# 1.4-1.5x, 1.7x and 1.85x at 30 ms, and about as fast at 10-20 ms.  The
+# refute benchmark gained as much at 10, 15, 20 and 30 ms (two 20 s runs
+# each), so the largest is kept: the longest search of the n=7 graphs, the
+# 3,169-node enumeration of Q7 (6.5 ms), then splits only on a host slowed
+# over 4x.
+SPLIT_AFTER_S = 0.03
+
+# At most this many open subtrees are handed out: their indices, 4 bytes
+# each, then fit in one pipe buffer on every platform.  With more open the
+# search goes on and tries again at the next clock read.
+_MAX_SUBTREES = 1024
+
+# run() status of a search that stopped to hand out its open subtrees.
+_SPLIT = "split"
 
 # Count held by a covered vertex: larger than any candidate count, even
 # after the decrements of the move that covers it.
@@ -261,64 +293,136 @@ class _CountedCover:
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect):
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect,
+                 split_at=None, check_every=CHECK_EVERY):
         self.order = order
         self.node_budget = node_budget
         self.deadline = deadline
         self.stop_at_first = stop_at_first
+        self.split_at = split_at
+        self.check_every = check_every
         self.nodes = 0
         self.count = 0
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
         self.witness: tuple[int, ...] | None = None
+        # After a split: (base state, block to take or None, blocks chosen above).
+        self.subtrees: list[tuple] = []
 
-    def run(self, state) -> str | None:
-        """Search below state; STATUS_FOUND or STATUS_BUDGET, or None once complete.
+    def run(self, state, chosen: list[int]) -> str | None:
+        """Search below state; STATUS_FOUND, STATUS_BUDGET or _SPLIT, or None once complete.
 
-        Each node covers the vertex that state.select() picks: no usable block
-        is a dead end, one is a forced move applied to the node's own state,
-        and more push a branch point whose children each get a copy of it
-        (the last child takes the original).
+        chosen holds the blocks taken above state, and grows as the search
+        does.  Each node covers the vertex that state.select() picks: no
+        usable block is a dead end, one is a forced move applied to the
+        node's own state, and more push a branch point whose children each
+        get a copy of it (the last child takes the original).  At a clock
+        read past split_at, the run keeps its open subtrees and stops.
         """
         node_budget = self.node_budget
         deadline = self.deadline
-        chosen: list[int] = []
+        split_at = self.split_at
+        check_every = self.check_every
+        nodes = self.nodes
+        next_check = nodes + check_every
         stack: list[list] = []  # [state, candidates, next index, len(chosen)]
-        while True:
-            self.nodes += 1
-            if node_budget is not None and self.nodes > node_budget:
-                return STATUS_BUDGET
-            if deadline is not None and self.nodes % 1024 == 0 and time.monotonic() > deadline:
-                return STATUS_BUDGET
-            if not state.uncovered:
-                self.count += 1
-                if self.solutions is not None:
-                    self.solutions.append(tuple(chosen))
-                if self.stop_at_first:
-                    self.witness = tuple(chosen)
-                    return STATUS_FOUND
-            else:
-                cands = state.select()
-                if cands & (cands - 1):
-                    stack.append([state, self._ordered(cands), 0, len(chosen)])
-                elif cands:
-                    v = cands.bit_length() - 1
-                    state.take(v)
-                    chosen.append(v)
-                    continue
-            if not stack:
-                return None
-            frame = stack[-1]
-            base, tries, i, depth = frame
-            if i + 1 < len(tries):
-                frame[2] = i + 1
-                state = base.copy()
-            else:
-                stack.pop()
-                state = base
-            del chosen[depth:]
-            v = tries[i]
+        try:
+            while True:
+                if nodes >= next_check:
+                    next_check += check_every
+                    now = time.monotonic()
+                    if deadline is not None and now > deadline:
+                        return STATUS_BUDGET
+                    if split_at is not None and now >= split_at and self._split(state, chosen, stack):
+                        return _SPLIT
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    return STATUS_BUDGET
+                if not state.uncovered:
+                    self.count += 1
+                    if self.solutions is not None:
+                        self.solutions.append(tuple(chosen))
+                    if self.stop_at_first:
+                        self.witness = tuple(chosen)
+                        return STATUS_FOUND
+                else:
+                    cands = state.select()
+                    if cands & (cands - 1):
+                        stack.append([state, self._ordered(cands), 0, len(chosen)])
+                    elif cands:
+                        v = cands.bit_length() - 1
+                        state.take(v)
+                        chosen.append(v)
+                        continue
+                if not stack:
+                    return None
+                frame = stack[-1]
+                base, tries, i, depth = frame
+                if i + 1 < len(tries):
+                    frame[2] = i + 1
+                    state = base.copy()
+                else:
+                    stack.pop()
+                    state = base
+                del chosen[depth:]
+                v = tries[i]
+                state.take(v)
+                chosen.append(v)
+        finally:
+            self.nodes = nodes
+
+    def _split(self, state, chosen, stack) -> bool:
+        """Keep the open subtrees in DFS order, if there are 2 to _MAX_SUBTREES.
+
+        The node about to be searched comes first, then, for each frame from
+        the top of the stack down, its untried candidates tries[i:].
+        """
+        if not 2 <= 1 + sum(len(tries) - i for _, tries, i, _ in stack) <= _MAX_SUBTREES:
+            return False
+        subtrees = [(state, None, tuple(chosen))]
+        for base, tries, i, depth in reversed(stack):
+            above = tuple(chosen[:depth])
+            subtrees.extend((base, v, above) for v in tries[i:])
+        self.subtrees = subtrees
+        return True
+
+    def run_subtree(self, i: int) -> tuple:
+        """Search open subtree i to its end: (status, nodes, count, solutions, witness).
+
+        The subtree's state is built here, by the process that claimed it.
+        """
+        base, v, above = self.subtrees[i]
+        chosen = list(above)
+        if v is None:
+            state = base
+        else:
+            state = base.copy()
             state.take(v)
             chosen.append(v)
+        sub = _CoverSearch(self.order, None, self.deadline, self.stop_at_first, self.solutions is not None)
+        status = sub.run(state, chosen)
+        return status, sub.nodes, sub.count, sub.solutions, sub.witness
+
+    def merge(self, results: dict[int, tuple]) -> str | None:
+        """Add the subtree results in DFS order, up to the first found code.
+
+        That is where the serial loop would have stopped, so the nodes,
+        count, solutions and witness are the serial ones.  A subtree out of
+        time makes the whole search budget-exceeded, counting the nodes of
+        every subtree that reported.
+        """
+        if any(result[0] == STATUS_BUDGET for result in results.values()):
+            self.nodes += sum(result[1] for result in results.values())
+            return STATUS_BUDGET
+        for i in range(len(self.subtrees)):
+            status, nodes, count, solutions, witness = results[i]
+            self.nodes += nodes
+            self.count += count
+            if solutions:
+                self.solutions.extend(solutions)
+            if status is not None:
+                self.witness = witness
+                return status
+        return None
 
     def _ordered(self, cands: int) -> list[int]:
         out = []
@@ -358,6 +462,124 @@ def _candidate_order(n_vertices: int, seed: int) -> list[int] | None:
     return ranks
 
 
+def _run_split(search: _CoverSearch, workers: int) -> str | None:
+    """Search the open subtrees in this process and workers - 1 forked children.
+
+    Every process claims subtree indices from one pipe, shallowest (last in
+    DFS order, and largest) first, and children send each result back
+    through a second pipe with marshal.  The results are settled once every
+    subtree before the first with a found code has one, and the later ones
+    are cancelled, as the serial loop never reaches them; or at once when a
+    subtree runs out of time, which cancels all the rest.  A child that
+    fails before the results settle makes this raise.
+    """
+    # Only a split search needs these; the module imports none of them.
+    import marshal
+    import os
+
+    n_subtrees = len(search.subtrees)
+    results: dict[int, tuple] = {}
+    stop = n_subtrees  # subtrees from this index on are cancelled
+
+    def record(i: int, result: tuple):
+        nonlocal stop
+        results[i] = result
+        if result[0] == STATUS_BUDGET:
+            stop = -1
+        elif result[0] is not None:
+            stop = min(stop, i)
+
+    def claims(fd: int):
+        while data := os.read(fd, 4):
+            i = int.from_bytes(data, "little")
+            if i < stop:
+                yield i
+
+    tasks_r, tasks_w = os.pipe()
+    os.write(tasks_w, b"".join(i.to_bytes(4, "little") for i in reversed(range(n_subtrees))))
+    os.close(tasks_w)
+    results_r, results_w = os.pipe()
+    children: list[int] = []
+    settled = False
+    try:
+        for _ in range(min(workers, n_subtrees) - 1):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(results_r)
+                    with open(results_w, "wb") as out:
+                        for i in claims(tasks_r):
+                            result = search.run_subtree(i)
+                            record(i, result)
+                            data = marshal.dumps((i, result))
+                            out.write(len(data).to_bytes(4, "little") + data)
+                            out.flush()
+                    code = 0
+                finally:
+                    # No atexit handlers, no flush of the stdio buffers copied from the parent.
+                    os._exit(code)
+            children.append(pid)
+        os.close(results_w)
+        results_w = None
+        buffer = bytearray()
+
+        def receive() -> bool:
+            """Read and record what children sent; False at end of file."""
+            try:
+                data = os.read(results_r, 1 << 16)
+            except BlockingIOError:
+                return True
+            buffer.extend(data)
+            while len(buffer) >= 4:
+                size = int.from_bytes(buffer[:4], "little")
+                if len(buffer) < 4 + size:
+                    break
+                record(*marshal.loads(buffer[4 : 4 + size]))
+                del buffer[: 4 + size]
+            return bool(data)
+
+        os.set_blocking(results_r, False)
+        for i in claims(tasks_r):
+            record(i, search.run_subtree(i))
+            receive()
+        os.set_blocking(results_r, True)
+        while not all(i in results for i in range(stop)):
+            if not receive():
+                raise RuntimeError("a search worker process ended without its results")
+        settled = True
+    finally:
+        for fd in (tasks_r, results_r, results_w):
+            if fd is not None:
+                os.close(fd)
+        if children and (not settled or stop < n_subtrees):
+            import signal  # only here: once imported, a module stays in memory
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)  # cancelled, or the search failed
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    if stop == n_subtrees and any(statuses):
+        raise RuntimeError(f"a search worker process failed (wait statuses {statuses})")
+    return search.merge(results)
+
+
+def _split_workers() -> int:
+    """Processes a search may use: the CPUs this process may run on, or 1.
+
+    A search stays in one process where os.fork is missing, and beside other
+    threads, which a fork would not copy.
+    """
+    import os
+    import sys
+
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def search_constrained(
     graph: InducedGraph,
     forbidden: Callable[[BitWord], bool] | None,
@@ -372,8 +594,14 @@ def search_constrained(
 
     Blocks N[v] with forbidden(v) are removed from the cover; the universe
     to dominate is still all of V(G).  Budgets default to the
-    CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment caps.
+    CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment caps, and
+    must be non-negative.  A search still running after SPLIT_AFTER_S is
+    split over the CPUs this process may use, as _split_workers allows.
     """
+    if node_budget is None:
+        node_budget = default_node_budget()
+    if time_budget is None:
+        time_budget = default_time_budget()
     return _search(
         graph,
         forbidden,
@@ -383,6 +611,8 @@ def search_constrained(
         time_budget=time_budget,
         seed=seed,
         collect_witnesses=collect_witnesses,
+        split_after=SPLIT_AFTER_S,
+        workers=_split_workers(),
     )
 
 
@@ -396,15 +626,23 @@ def _search(
     time_budget: float | None = None,
     seed: int = 0,
     collect_witnesses: bool = False,
+    split_after: float | None = None,
+    workers: int = 1,
+    check_every: int = CHECK_EVERY,
 ) -> SearchOutcome:
-    """search_constrained with the cover-state representation given by counted."""
+    """search_constrained with the cover-state representation given by counted.
+
+    With split_after seconds, workers > 1 and no node budget (which stays
+    one global count), the search splits at the first clock read, every
+    check_every nodes, past split_after that finds at least two open subtrees.
+    """
     mode = _normalize_mode(mode)
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time budget must be non-negative, got {time_budget} s")
     masks = _closed_masks(graph)
     n_vertices = len(masks)
-    if node_budget is None:
-        node_budget = default_node_budget()
-    if time_budget is None:
-        time_budget = default_time_budget()
 
     allowed = 0
     if forbidden is None:
@@ -414,8 +652,10 @@ def _search(
             if not forbidden(graph.word(i)):
                 allowed |= 1 << i
 
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
     started = time.monotonic()
+    deadline = started + time_budget if time_budget is not None else None
+    split = split_after is not None and workers > 1 and node_budget is None
+    split_at = started + split_after if split else None
     blocks = _Blocks(masks)
     if counted:
         root = _CountedCover.root(blocks, allowed)
@@ -427,8 +667,12 @@ def _search(
         deadline,
         mode in (MODE_FIRST, MODE_PROVE_NONE),
         collect_witnesses and mode == MODE_ENUMERATE,
+        split_at,
+        check_every,
     )
-    status = search.run(root)
+    status = search.run(root, [])
+    if status == _SPLIT:
+        status = _run_split(search, workers)
     if status is None:
         status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
     witnesses = None

@@ -40,8 +40,17 @@ def _int_env(name: str, default: int | None) -> int | None:
     return _parse_env(name, int, default)
 
 
-def _float_env(name: str) -> float | None:
-    return _parse_env(name, float, None)
+def non_negative(parse):
+    """parse, refusing NaN and negative values with a ValueError."""
+
+    def check(raw: str):
+        value = parse(raw)
+        if not value >= 0:
+            raise ValueError(f"{raw!r} is negative or NaN")
+        return value
+
+    check.__name__ = f"non-negative {parse.__name__}"
+    return check
 
 
 def enum_cap() -> int:
@@ -59,11 +68,15 @@ def engine_cap() -> int:
     return _int_env(_ENV_ENGINE_CAP, DEFAULT_ENGINE_CAP)
 
 
+_non_negative_int = non_negative(int)
+_non_negative_float = non_negative(float)
+
+
 def default_node_budget():
     """Default search node budget (None = unbounded)."""
-    return _int_env(_ENV_BUDGET_NODES, None)
+    return _parse_env(_ENV_BUDGET_NODES, _non_negative_int, None)
 
 
 def default_time_budget():
     """Default search time budget in seconds (None = unbounded)."""
-    return _float_env(_ENV_BUDGET_SECONDS)
+    return _parse_env(_ENV_BUDGET_SECONDS, _non_negative_float, None)

@@ -1,9 +1,14 @@
 """Command-line behavior: output, exit codes, round trips."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubecodes
+from cubecodes import codes
 from cubecodes.claims import CLAIM_IDS
 from cubecodes.cli import build_parser, main
 
@@ -86,6 +91,62 @@ def test_search_budget_exit_4(capsys):
     )
     assert code == 4
     assert json.loads(out)["status"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--budget-seconds", "nan"),
+        ("--budget-seconds", "-1"),
+        ("--budget-nodes", "-5"),
+    ],
+)
+def test_malformed_budget_is_usage_error(capsys, command, flag, value):
+    argv = ["search", "--family", "lucas", "--n", "12", "--mode", "prove-none"]
+    if command == "verify":
+        argv = ["verify", "--claim", "thm-main", "--n-max", "12"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+# Text left in stdout's buffer before the search, then the search split over
+# two processes at its first clock read; the forks are counted on stderr.
+_FORK_HYGIENE = """
+import os, sys
+from cubecodes import codes
+from cubecodes.cli import main
+
+codes.SPLIT_AFTER_S = 0.0
+codes._split_workers = lambda: 2
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+sys.stdout.write("buffered before the search\\n")
+code = main(["search", "--family", "lucas", "--n", "12", "--mode", "prove-none"])
+sys.stderr.write(f"forks={len(forks)}\\n")
+sys.exit(code)
+"""
+
+
+def test_split_search_output_is_the_serial_one(capsys, monkeypatch):
+    src = str(Path(cubecodes.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", _FORK_HYGIENE],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+    )
+    assert child.returncode == 3, child.stderr
+    assert child.stderr == "forks=1\n"
+    lines = child.stdout.splitlines()
+    assert lines[0] == "buffered before the search" and len(lines) == 2
+    monkeypatch.setattr(codes, "_split_workers", lambda: 1)
+    code, out, _ = run_cli(capsys, "search", "--family", "lucas", "--n", "12", "--mode", "prove-none")
+    assert code == 3
+    split, serial = json.loads(lines[1]), json.loads(out)
+    del split["millis"], serial["millis"]
+    assert split == serial
 
 
 def test_search_enumerate_count(capsys):
@@ -229,6 +290,8 @@ def test_help_lists_every_claim_id():
     [
         ("CUBECODES_BUDGET_NODES", "abc"),
         ("CUBECODES_BUDGET_SECONDS", "soon"),
+        ("CUBECODES_BUDGET_SECONDS", "nan"),
+        ("CUBECODES_BUDGET_NODES", "-5"),
         ("CUBECODES_ENGINE_CAP", "4k"),
     ],
 )

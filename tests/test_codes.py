@@ -1,7 +1,11 @@
 """Perfect-code predicates and the exact-cover search engine."""
 
+import math
+import os
 import random
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,7 @@ from cubecodes import (
     is_perfect_code,
     search_constrained,
 )
+from cubecodes import codes
 from cubecodes.codes import COUNTED_MIN_VERTICES, _search
 from cubecodes.graphs import InducedGraph
 
@@ -145,6 +150,39 @@ def test_budget_exceeded_is_reported():
     assert out.status == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "budgets",
+    [{"node_budget": -5}, {"time_budget": -0.5}, {"time_budget": math.nan}],
+)
+def test_malformed_budget_is_refused(budgets):
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        search_constrained(build_graph(LUCAS, 12), None, "prove_none", **budgets)
+
+
+@pytest.mark.parametrize("name, value", [("CUBECODES_BUDGET_SECONDS", "nan"), ("CUBECODES_BUDGET_NODES", "-5")])
+def test_malformed_env_budget_names_the_variable(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=name):
+        find_perfect_code(build_graph(LUCAS, 12), "prove_none")
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("split_after, workers", [(None, 1), (0.05, 2)])
+def test_time_budget_stops_near_its_deadline(split_after, workers):
+    # Lucas n=16 prove-none takes over a second on one core and about half
+    # that split over two; both stop within a few clock reads of 0.25 s.
+    g = build_graph(LUCAS, 16)
+    start = time.monotonic()
+    out = _search(g, None, "prove_none", True, time_budget=0.25, split_after=split_after, workers=workers)
+    assert out.status == "budget-exceeded"
+    assert time.monotonic() - start < 1.5
+    assert_no_child_process()
+
+
 def test_seeded_search_same_verdict():
     g = build_graph(LUCAS, 9)
     base = find_perfect_code(g, "prove_none")
@@ -259,18 +297,34 @@ def search_both(graph, forbidden, mode, **kwargs):
     return bitmap
 
 
+def search_split(graph, forbidden, mode, **kwargs):
+    """search_both, then the same search split at once over 2 and over 3 processes.
+
+    The split comes at the first clock read with two open subtrees: after
+    every node with the bitmap state, every 4 nodes with the counted one.
+    """
+    serial = search_both(graph, forbidden, mode, **kwargs)
+    for workers, counted, check_every in ((2, False, 1), (3, True, 4)):
+        split = _search(
+            graph, forbidden, mode, counted,
+            split_after=0.0, workers=workers, check_every=check_every, **kwargs,
+        )
+        assert _fingerprint(split) == _fingerprint(serial), (workers, counted)
+    return serial
+
+
 def check_against_oracles(graph, forbidden=None, seeds=(0, 5)):
-    """Enumerate and first mode on both states; counts must match the oracles."""
+    """Enumerate and first mode, serial and split; counts must match the oracles."""
     count = None
     for seed in seeds:
-        out = search_both(graph, forbidden, "enumerate", seed=seed, collect_witnesses=True)
+        out = search_split(graph, forbidden, "enumerate", seed=seed, collect_witnesses=True)
         assert out.status == "enumerated"
         assert count in (None, out.count)
         count = out.count
         for witness in out.witnesses:
             assert is_perfect_code(graph, witness)
             assert forbidden is None or not any(forbidden(w) for w in witness.words())
-        first = search_both(graph, forbidden, "first", seed=seed)
+        first = search_split(graph, forbidden, "first", seed=seed)
         if count:
             assert first.status == "found" and is_perfect_code(graph, first.witness)
         else:
@@ -292,6 +346,8 @@ def test_representations_agree_on_families():
                 assert (out.status, out.nodes) == (
                     ("enumerated", 712) if n == 8 else ("budget-exceeded", 3001)
                 )
+                if n == 8:
+                    assert search_split(g, None, "enumerate").nodes == 712
     for s in range(2, 8):
         for family in (gen_lucas(s), gen_fibonacci(s)):
             check_against_oracles(build_graph(family, 7), seeds=(0, s))
@@ -327,10 +383,84 @@ def test_node_counts_are_pinned():
         (HYPERCUBE, 7, "enumerate", 3169),
     ):
         g = build_graph(family, n)
-        out = search_both(g, None, mode)
+        out = search_split(g, None, mode)
         assert out.nodes == nodes, (family, n)
         assert find_perfect_code(g, mode).nodes == nodes
     assert len(build_graph(HYPERCUBE, 7)) < COUNTED_MIN_VERTICES <= len(build_graph(LUCAS, 12))
+
+
+def test_split_node_counts_are_pinned():
+    # Long enough to split on a host with two CPUs; the tree stays the serial one.
+    for family, n, nodes in ((LUCAS, 15, 10062), (FIBONACCI, 14, 4721)):
+        out = find_perfect_code(build_graph(family, n), "prove_none")
+        assert (out.status, out.nodes) == ("exhausted", nodes), (family, n)
+    assert_no_child_process()
+
+
+def test_split_over_more_workers_than_cpus():
+    # Workers contend for the task pipe and the result pipe; every subtree
+    # is still searched once, and the merge is the serial result.
+    workers = len(os.sched_getaffinity(0)) + 3
+    for family, n, mode in ((FIBONACCI, 12, "prove_none"), (HYPERCUBE, 7, "enumerate")):
+        g = build_graph(family, n)
+        counted = len(g) >= COUNTED_MIN_VERTICES
+        serial = _search(g, None, mode, counted, collect_witnesses=True)
+        split = _search(
+            g, None, mode, counted, collect_witnesses=True,
+            split_after=0.0, workers=workers, check_every=8,
+        )
+        assert _fingerprint(split) == _fingerprint(serial), (family, n)
+    assert_no_child_process()
+
+
+def test_split_stops_at_the_serial_witness():
+    # Every split point of a first-mode search that branches: the witness is
+    # the serial one, and so is the node count, whatever later subtree the
+    # other workers were searching when it settled.
+    q7 = build_graph(HYPERCUBE, 7)
+    avoid = lambda w: has_circular_ones_run(w, 7)
+    for seed in (0, 3, 11):
+        serial = _search(q7, avoid, "first", False, seed=seed)
+        for check_every in range(1, serial.nodes):
+            split = _search(
+                q7, avoid, "first", False, seed=seed,
+                split_after=0.0, workers=2, check_every=check_every,
+            )
+            assert _fingerprint(split) == _fingerprint(serial), (seed, check_every)
+    assert_no_child_process()
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """Split every search at its first clock read and count the forks."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(codes, "SPLIT_AFTER_S", 0.0)
+    return forks
+
+
+def test_split_uses_every_cpu_and_only_one_thread(counted_forks):
+    g = build_graph(LUCAS, 12)
+    assert find_perfect_code(g, "prove_none").nodes == 521
+    assert len(counted_forks) == len(os.sched_getaffinity(0)) - 1
+    counted_forks.clear()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert find_perfect_code(g, "prove_none").nodes == 521
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert find_perfect_code(g, "prove_none", node_budget=10**6).nodes == 521
+    assert counted_forks == []
 
 
 def test_deep_search_needs_no_recursion():
