@@ -6,16 +6,22 @@ problem: the universe is V(G) and the candidate blocks are the closed
 neighborhoods N[v].  The search below is backtracking with the
 minimum-remaining-values rule, run as one loop over an explicit stack of
 branch points, so its depth is not bounded by Python's recursion limit.
-At each node the lowest-id uncovered vertex with at most one usable
-covering block decides the move: none is a dead end, one is a forced move.
-Otherwise the search branches on the uncovered vertex with the fewest
-usable blocks (ties to the lowest id), trying them in candidate order.
+At each node an uncovered vertex with no usable covering block is a dead
+end, the lowest-id one with a single block is a forced move, and otherwise
+the search branches on the uncovered vertex with the fewest usable blocks
+(ties to the lowest id), trying them in candidate order.
 
-The cover state has two representations that give the same search tree,
-picked from the vertex count.  Below COUNTED_MIN_VERTICES, uncovered
-vertices and usable blocks are bitmaps and each node re-counts candidates
-by popcount.  From it up, each vertex also keeps its count of usable
-blocks, and a move decrements only the members of the blocks it drops.
+The cover state has two representations, picked from the vertex count,
+which differ in how soon they see a dead end.  Below COUNTED_MIN_VERTICES,
+uncovered vertices and usable blocks are bitmaps, and each node re-counts
+candidates by popcount in id order up to the first vertex with at most one
+usable block; a vertex left with none at a higher id is found only after
+the forced moves below it.  From COUNTED_MIN_VERTICES up, each vertex also
+keeps its count of usable blocks, a move decrements only the members of
+the blocks it drops, and a node is a dead end as soon as a count reaches
+0.  Below such a vertex the bitmap state makes only forced moves, with no
+branch point and no solution, so both give the same branch points, counts
+and witnesses, and the counted state searches fewer nodes.
 
 A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
 hands its open subtrees to forked worker processes, which run the same loop
@@ -119,10 +125,25 @@ class SearchOutcome:
 # From this vertex count up, the search keeps per-vertex candidate counts up
 # to date instead of re-counting them by popcount at every node.  Below it
 # the scan finds a forced vertex within a few popcounts, and the per-move
-# bookkeeping costs more than it saves: twice the time on the n=7 graphs
-# (99-128 vertices), break-even at about 190-200 vertices on Lucas,
-# Fibonacci and circular-run graphs, and 0.7x from about 210 vertices on.
-COUNTED_MIN_VERTICES = 200
+# bookkeeping costs more than it saves.  Counted / bitmap time of a full
+# search (best of 21 interleaved runs, 2-CPU host, Python 3.11):
+#
+#   vertices  graph                                   counted / bitmap
+#   76-89     Lucas n=9, Fibonacci n=9                0.96-1.04
+#   99-128    the n=7 graphs: Q7, lucas1s:4..7,       1.25-2.54
+#             fib1s:5..7
+#   123       Lucas n=10                              0.92-0.97
+#   131-149   lucas1s:3 n=8, Fibonacci n=10,          0.75-0.83
+#             fib1s:3 n=8
+#   191-208   lucas1s:4 n=8, Lucas n=11, fib1s:4 n=8  0.48-0.62
+#   223-256   lucas1s:5..7 n=8, fib1s:5..7 n=8,       0.41-0.67
+#             Fibonacci n=11, Q8
+#   322       Lucas n=12                              0.44
+#
+# Lucas and Fibonacci graphs break even near 90 vertices, but the n=7
+# graphs, which branch more and prune less, do not; every graph measured
+# above 128 vertices (Q7's count) gains.
+COUNTED_MIN_VERTICES = 129
 
 # The search reads the clock every CHECK_EVERY nodes, for its deadline and
 # its split alike.  A node costs at most about 60 us on the graphs measured
@@ -133,14 +154,22 @@ CHECK_EVERY = 32
 # A search that has run this long splits into its open subtrees, which the
 # CPUs this process may use then search in forked worker processes.  A
 # split costs about 3 ms (fork, then reaping the child), so a search that
-# splits near its end runs slower: on a 2-CPU host, Lucas n=13 prove-none
-# (37-46 ms) ran at 0.8-1.0x of serial when split at 30 ms and at 1.1-1.4x
-# at 5-15 ms, while Lucas n=14 (4k nodes), n=15 (10k) and n=16 (24k) ran at
-# 1.4-1.5x, 1.7x and 1.85x at 30 ms, and about as fast at 10-20 ms.  The
-# refute benchmark gained as much at 10, 15, 20 and 30 ms (two 20 s runs
-# each), so the largest is kept: the longest search of the n=7 graphs, the
-# 3,169-node enumeration of Q7 (6.5 ms), then splits only on a host slowed
-# over 4x.
+# splits near its end runs slower: on a busy 2-CPU host, split at 30 ms,
+# prove-none on Fibonacci n=13 (899 nodes, 33 ms serial) ran at 0.91x of
+# serial, Lucas n=13 (716, 26 ms) at 0.99x, Lucas and Fibonacci n=14 (1.9k
+# and 2.4k nodes) at 1.2x, Lucas n=15 (4.8k) at 1.4x and n=16 (15k) at
+# 1.6x.  The refute benchmark (20 s runs, rescaled to a quiet host):
+#
+#   split after  runs  frontier_s (Lucas n=15)  wall_s
+#   10 ms        2     0.0701-0.0727 s          0.204-0.208 s
+#   15 ms        2     0.0725-0.0726 s          0.207-0.208 s
+#   20 ms        4     0.0710-0.0726 s          0.204-0.209 s
+#   30 ms        4     0.0748-0.0764 s          0.213-0.219 s
+#
+# 10-20 ms gain about 5%, but the longest search of the n=7 graphs, the
+# 3,169-node enumeration of Q7 (6.5 ms on a quiet host), then splits on a
+# busy host: at 20 ms it split in 2 of 300 runs that took 9-34 ms (median
+# 16 ms), at 30 ms in none, so 30 ms is kept.
 SPLIT_AFTER_S = 0.03
 
 # At most this many open subtrees are handed out: their indices, 4 bytes
@@ -221,18 +250,26 @@ class _CountedCover:
 
     counts[u] is the number of usable blocks covering the uncovered vertex u;
     covered vertices hold _COVERED.  low holds the uncovered vertices whose
-    count is at most 1.  A move decrements only the members of the blocks it
-    drops, and select() reads the same vertex the popcount scan would.
+    count is exactly 1.  A move decrements only the members of the blocks it
+    drops.  A state is dead once some uncovered vertex has no usable block:
+    root() starts dead when a vertex has no allowed block, and take() turns
+    dead at the decrement that reaches 0 and stops there, leaving the other
+    fields stale.  A dead state is a dead end: select() gives no candidates,
+    so it is never a branch base, and its uncovered bitmap still holds the
+    vertex, so it never reads as a solution.  Otherwise select() reads the
+    same vertex the popcount scan would.
     """
 
-    __slots__ = ("blocks", "uncovered", "available", "counts", "low")
+    __slots__ = ("blocks", "uncovered", "available", "counts", "low", "dead")
 
-    def __init__(self, blocks: _Blocks, uncovered: int, available: int, counts: list[int], low: int):
+    def __init__(self, blocks: _Blocks, uncovered: int, available: int, counts: list[int], low: int,
+                 dead: bool = False):
         self.blocks = blocks
         self.uncovered = uncovered
         self.available = available
         self.counts = counts
         self.low = low
+        self.dead = dead
 
     @classmethod
     def root(cls, blocks: _Blocks, available: int) -> _CountedCover:
@@ -250,15 +287,17 @@ class _CountedCover:
         counts = [(mask & available).bit_count() for mask in masks]
         low = 0
         for u, c in enumerate(counts):
-            if c <= 1:
+            if c == 1:
                 low |= 1 << u
-        return cls(blocks, (1 << len(masks)) - 1, available, counts, low)
+        return cls(blocks, (1 << len(masks)) - 1, available, counts, low, 0 in counts)
 
     def copy(self) -> _CountedCover:
         return _CountedCover(self.blocks, self.uncovered, self.available, self.counts.copy(), self.low)
 
     def select(self) -> int:
         """Usable blocks covering the vertex the search decides on next."""
+        if self.dead:
+            return 0
         low = self.low
         if low:
             u = (low & -low).bit_length() - 1
@@ -284,6 +323,9 @@ class _CountedCover:
                 c = counts[x] - 1
                 counts[x] = c
                 if c <= 1:
+                    if not c:
+                        self.dead = True
+                        return
                     low |= 1 << x
         self.uncovered &= ~blocks.masks[v]
         self.available &= ~gone

@@ -173,9 +173,9 @@ def assert_no_child_process():
 
 @pytest.mark.parametrize("split_after, workers", [(None, 1), (0.05, 2)])
 def test_time_budget_stops_near_its_deadline(split_after, workers):
-    # Lucas n=16 prove-none takes over a second on one core and about half
-    # that split over two; both stop within a few clock reads of 0.25 s.
-    g = build_graph(LUCAS, 16)
+    # Lucas n=17 prove-none (134k nodes) takes seconds, serial or split over
+    # two processes; both stop within a few clock reads of 0.25 s.
+    g = build_graph(LUCAS, 17)
     start = time.monotonic()
     out = _search(g, None, "prove_none", True, time_budget=0.25, split_after=split_after, workers=workers)
     assert out.status == "budget-exceeded"
@@ -289,12 +289,24 @@ def _fingerprint(out):
     return out.status, out.nodes, out.count, witness, witnesses
 
 
+def _verdict(out):
+    """The fingerprint without the node count."""
+    status, _, count, witness, witnesses = _fingerprint(out)
+    return status, count, witness, witnesses
+
+
 def search_both(graph, forbidden, mode, **kwargs):
-    """Run the bitmap and the counted state on one input; they must agree exactly."""
+    """Run the bitmap and the counted state on one input: (bitmap, counted).
+
+    They reach the same status, count, witness and witnesses.  The counted
+    state ends a node as soon as a vertex has no usable block left, where
+    the bitmap state may first make forced moves, so it never searches more.
+    """
     bitmap = _search(graph, forbidden, mode, False, **kwargs)
     counted = _search(graph, forbidden, mode, True, **kwargs)
-    assert _fingerprint(bitmap) == _fingerprint(counted)
-    return bitmap
+    assert _verdict(bitmap) == _verdict(counted)
+    assert counted.nodes <= bitmap.nodes
+    return bitmap, counted
 
 
 def search_split(graph, forbidden, mode, **kwargs):
@@ -302,6 +314,7 @@ def search_split(graph, forbidden, mode, **kwargs):
 
     The split comes at the first clock read with two open subtrees: after
     every node with the bitmap state, every 4 nodes with the counted one.
+    Each split run gives the serial run of its own state, nodes included.
     """
     serial = search_both(graph, forbidden, mode, **kwargs)
     for workers, counted, check_every in ((2, False, 1), (3, True, 4)):
@@ -309,7 +322,7 @@ def search_split(graph, forbidden, mode, **kwargs):
             graph, forbidden, mode, counted,
             split_after=0.0, workers=workers, check_every=check_every, **kwargs,
         )
-        assert _fingerprint(split) == _fingerprint(serial), (workers, counted)
+        assert _fingerprint(split) == _fingerprint(serial[counted]), (workers, counted)
     return serial
 
 
@@ -317,14 +330,14 @@ def check_against_oracles(graph, forbidden=None, seeds=(0, 5)):
     """Enumerate and first mode, serial and split; counts must match the oracles."""
     count = None
     for seed in seeds:
-        out = search_split(graph, forbidden, "enumerate", seed=seed, collect_witnesses=True)
+        out, _ = search_split(graph, forbidden, "enumerate", seed=seed, collect_witnesses=True)
         assert out.status == "enumerated"
         assert count in (None, out.count)
         count = out.count
         for witness in out.witnesses:
             assert is_perfect_code(graph, witness)
             assert forbidden is None or not any(forbidden(w) for w in witness.words())
-        first = search_split(graph, forbidden, "first", seed=seed)
+        first, _ = search_split(graph, forbidden, "first", seed=seed)
         if count:
             assert first.status == "found" and is_perfect_code(graph, first.witness)
         else:
@@ -342,12 +355,12 @@ def test_representations_agree_on_families():
             if len(g) <= 128:
                 check_against_oracles(g)
             else:  # Q8 is exhausted in 712 nodes; Q9 needs far more
-                out = search_both(g, None, "enumerate", node_budget=3000)
-                assert (out.status, out.nodes) == (
+                outs = search_both(g, None, "enumerate", node_budget=3000)
+                assert [(out.status, out.nodes) for out in outs] == 2 * [
                     ("enumerated", 712) if n == 8 else ("budget-exceeded", 3001)
-                )
+                ]
                 if n == 8:
-                    assert search_split(g, None, "enumerate").nodes == 712
+                    assert [out.nodes for out in search_split(g, None, "enumerate")] == [712, 712]
     for s in range(2, 8):
         for family in (gen_lucas(s), gen_fibonacci(s)):
             check_against_oracles(build_graph(family, 7), seeds=(0, s))
@@ -372,26 +385,48 @@ def test_representations_agree_on_random_graphs(graph, banned, seed):
 
 
 def test_node_counts_are_pinned():
-    # Sizes of the MRV search tree: a change to the selection rule, the
-    # tie-break or the candidate order moves them.
-    for family, n, mode, nodes in (
-        (LUCAS, 10, "prove_none", 142),
-        (LUCAS, 12, "prove_none", 521),
-        (LUCAS, 13, "prove_none", 1461),
-        (LUCAS, 14, "prove_none", 3919),
-        (FIBONACCI, 13, "prove_none", 1835),
-        (HYPERCUBE, 7, "enumerate", 3169),
+    # Sizes of the MRV search tree, bitmap and counted state: a change to the
+    # selection rule, the tie-break, the candidate order or the dead-end
+    # test moves them.
+    for family, n, mode, bitmap_nodes, counted_nodes in (
+        (LUCAS, 10, "prove_none", 142, 95),
+        (LUCAS, 12, "prove_none", 521, 303),
+        (LUCAS, 13, "prove_none", 1461, 716),
+        (LUCAS, 14, "prove_none", 3919, 1896),
+        (FIBONACCI, 13, "prove_none", 1835, 899),
+        (HYPERCUBE, 7, "enumerate", 3169, 3169),
     ):
         g = build_graph(family, n)
-        out = search_split(g, None, mode)
-        assert out.nodes == nodes, (family, n)
+        bitmap, counted = search_split(g, None, mode)
+        assert (bitmap.nodes, counted.nodes) == (bitmap_nodes, counted_nodes), (family, n)
+        nodes = counted_nodes if len(g) >= COUNTED_MIN_VERTICES else bitmap_nodes
         assert find_perfect_code(g, mode).nodes == nodes
     assert len(build_graph(HYPERCUBE, 7)) < COUNTED_MIN_VERTICES <= len(build_graph(LUCAS, 12))
 
 
+def test_counted_state_stops_at_a_vertex_without_blocks():
+    # Every block covering the last vertex is banned, so the counted state
+    # starts dead.  With every block of vertex 0 but its own banned too, the
+    # bitmap state first makes forced moves from vertex 0 on.  The DFS
+    # oracle reaches the last vertex only after covering all the others, in
+    # under 0.1 s on Lucas n=9 but over a minute on n=12.
+    for n in (9, 12):
+        g = build_graph(LUCAS, n)
+        last = len(g) - 1
+        dead = {g.word(i).bits for i in [last, *g.neighbor_ids(last)]}
+        forced = dead | {g.word(i).bits for i in g.neighbor_ids(0)}
+        for banned in (dead, forced):
+            forbidden = lambda w: w.bits in banned
+            bitmap, counted = search_both(g, forbidden, "prove_none")
+            assert (counted.status, counted.nodes) == ("exhausted", 1)
+            if n == 9:
+                assert count_perfect_codes_dfs(g, forbidden) == 0
+        assert bitmap.nodes > 1
+
+
 def test_split_node_counts_are_pinned():
     # Long enough to split on a host with two CPUs; the tree stays the serial one.
-    for family, n, nodes in ((LUCAS, 15, 10062), (FIBONACCI, 14, 4721)):
+    for family, n, nodes in ((LUCAS, 15, 4752), (FIBONACCI, 14, 2405)):
         out = find_perfect_code(build_graph(family, n), "prove_none")
         assert (out.status, out.nodes) == ("exhausted", nodes), (family, n)
     assert_no_child_process()
@@ -447,19 +482,19 @@ def counted_forks(monkeypatch):
 
 def test_split_uses_every_cpu_and_only_one_thread(counted_forks):
     g = build_graph(LUCAS, 12)
-    assert find_perfect_code(g, "prove_none").nodes == 521
+    assert find_perfect_code(g, "prove_none").nodes == 303
     assert len(counted_forks) == len(os.sched_getaffinity(0)) - 1
     counted_forks.clear()
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert find_perfect_code(g, "prove_none").nodes == 521
+        assert find_perfect_code(g, "prove_none").nodes == 303
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert find_perfect_code(g, "prove_none", node_budget=10**6).nodes == 521
+    assert find_perfect_code(g, "prove_none", node_budget=10**6).nodes == 303
     assert counted_forks == []
 
 
@@ -474,8 +509,9 @@ def test_deep_search_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        out = search_both(g, None, "first")
+        outs = search_both(g, None, "first")
     finally:
         sys.setrecursionlimit(limit)
-    assert out.status == "found" and out.nodes == 513
-    assert len(out.witness) == 512 and is_perfect_code(g, out.witness)
+    for out in outs:
+        assert out.status == "found" and out.nodes == 513
+        assert len(out.witness) == 512 and is_perfect_code(g, out.witness)
