@@ -33,9 +33,12 @@ def _family_arg(text: str) -> Family:
 
 def _int_list_arg(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _emit(text: str, path: str | None):
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=CLAIM_IDS + ("all",),
         help="claim id to check, or all: " + ", ".join(CLAIM_IDS),
     )
-    p_verify.add_argument("--n-max", type=int, default=None)
+    p_verify.add_argument("--n-max", type=non_negative(int), default=None)
     p_choice = p_verify.add_mutually_exclusive_group()
     p_choice.add_argument("--p", type=int, default=None, help="single Hamming parameter p")
     p_choice.add_argument("--p-set", type=_int_list_arg, default=None, help="e.g. 2,3,4")

@@ -3,6 +3,8 @@
 Vertices are family members at a fixed length, stored ascending; the dense
 vertex id of a word is its rank in that order, which is stable across runs.
 Vertex sets are bitmaps over dense ids, packed into a single integer.
+Neighbors are probed on demand: the n one-bit flips of a word are looked up
+in the word index, and nothing is stored per vertex.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ from typing import Callable, Iterator
 
 from .limits import ResourceLimitError, graph_cap
 from .words import BitWord, Family, iter_family_bits
-
-# Above this vertex count, neighbor lists are not stored; flips are probed
-# against the index on every query instead.
-DENSE_ADJ_LIMIT = 1 << 16
 
 
 def hamming_distance(x: BitWord, y: BitWord) -> int:
@@ -42,20 +40,6 @@ class InducedGraph:
         self.family = family
         self.vertices = vertices
         self.index = {bits: i for i, bits in enumerate(vertices)}
-        self._adj: list[list[int]] | None = None
-        if len(vertices) <= DENSE_ADJ_LIMIT:
-            self._adj = [self._probe_neighbors(i) for i in range(len(vertices))]
-
-    def _probe_neighbors(self, i: int) -> list[int]:
-        bits = self.vertices[i]
-        index = self.index
-        found = []
-        for b in range(self.n):
-            j = index.get(bits ^ (1 << b))
-            if j is not None:
-                found.append(j)
-        found.sort()
-        return found
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -76,9 +60,16 @@ class InducedGraph:
         return i
 
     def neighbor_ids(self, i: int) -> list[int]:
-        if self._adj is not None:
-            return self._adj[i]
-        return self._probe_neighbors(i)
+        """Ascending ids of the one-bit flips of vertex i that are vertices."""
+        bits = self.vertices[i]
+        index = self.index
+        found = []
+        for b in range(self.n):
+            j = index.get(bits ^ (1 << b))
+            if j is not None:
+                found.append(j)
+        found.sort()
+        return found
 
     def closed_mask(self, i: int) -> int:
         """Bitmap of N[i]: the vertex and its neighbors."""
@@ -119,7 +110,7 @@ class InducedGraph:
         return None
 
     def is_connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 0; O(V + E)."""
+        """Whether every vertex is reachable from vertex 0; O(V·n) index probes."""
         total = len(self.vertices)
         if not total:
             return True

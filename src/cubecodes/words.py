@@ -156,17 +156,12 @@ def has_ones_run(w: BitWord, s: int) -> bool:
 
 def is_fibonacci(w: BitWord) -> bool:
     """True iff the word has no 11 substring."""
-    return w.bits & (w.bits >> 1) == 0
+    return is_member(FIBONACCI, w)
 
 
 def is_lucas(w: BitWord) -> bool:
     """True iff the word is Fibonacci and its first and last bits are not both 1."""
-    if w.bits & (w.bits >> 1):
-        return False
-    if w.length == 0:
-        return True
-    first = w.bits >> (w.length - 1)
-    return not (first & w.bits & 1)
+    return is_member(LUCAS, w)
 
 
 def circulation(w: BitWord, i: int) -> BitWord:

@@ -272,6 +272,23 @@ def test_verify_p_and_p_set_are_exclusive(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--claim", "prop-1n", "--p-set", ","], "--p-set"),
+        (["--claim", "lemma-0n", "--n-set", ""], "--n-set"),
+        (["--claim", "thm-main", "--n-max", "-3"], "--n-max"),
+    ],
+)
+def test_verify_range_that_checks_nothing_is_usage_error(capsys, argv, flag):
+    # each used to print PASS after checking no parameter at all
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "PASS" not in captured.out
+
+
 def test_help_lists_every_claim_id():
     parser = build_parser()
     # find the verify subparser help text and cross-check the id list

