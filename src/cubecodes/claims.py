@@ -34,6 +34,8 @@ from .words import (
 )
 from .graphs import build_graph
 from .codes import (
+    STATUS_BUDGET,
+    STATUS_ENUMERATED,
     STATUS_EXHAUSTED,
     STATUS_FOUND,
     find_perfect_code,
@@ -100,7 +102,7 @@ def _require(condition: bool, **evidence):
 
 def _search_verdict(outcome, expect: str, **evidence):
     """Map an engine outcome onto claim bookkeeping, honoring budgets."""
-    if outcome.status == "budget-exceeded":
+    if outcome.status == STATUS_BUDGET:
         raise _BudgetSkip(nodes=outcome.nodes, **evidence)
     _require(outcome.status == expect, status=outcome.status, **evidence)
     return outcome
@@ -149,8 +151,10 @@ def _nonexistence_scan(claim, family, family_name, n_max, node_budget, time_budg
     params = {"family": family_name, "n_max": n_max}
 
     def body(evidence):
+        if n_max < 4:
+            raise _Failure(n_max=n_max, stage="precondition n_max >= 4")
         nodes = 0
-        for n in range(min(3, n_max) + 1):
+        for n in range(4):
             graph = build_graph(family, n)
             outcome = _search_verdict(
                 find_perfect_code(
@@ -177,7 +181,7 @@ def _nonexistence_scan(claim, family, family_name, n_max, node_budget, time_budg
                 n=n,
             )
             nodes += outcome.nodes
-        evidence["found_up_to"] = min(3, n_max)
+        evidence["found_up_to"] = 3
         evidence["exhausted_range"] = [4, n_max]
         evidence["nodes"] = nodes
 
@@ -317,6 +321,8 @@ def check_hypercube_avoidance(
     def body(evidence):
         counts = {}
         for n in n_set:
+            if n < 3:
+                raise _Failure(n=n, stage="precondition n >= 3")
             graph = build_graph(HYPERCUBE, n)
             for s in range(2, n):
                 outcome = search_constrained(
@@ -330,15 +336,18 @@ def check_hypercube_avoidance(
             # Mechanism: in every perfect code the dominator of the all-ones
             # word is the all-ones word or a weight n-1 word (whose cyclic
             # run is 1^{n-1}).
-            enumeration = find_perfect_code(
-                graph,
-                "enumerate",
-                collect_witnesses=True,
-                node_budget=node_budget,
-                time_budget=time_budget,
+            enumeration = _search_verdict(
+                find_perfect_code(
+                    graph,
+                    "enumerate",
+                    collect_witnesses=True,
+                    node_budget=node_budget,
+                    time_budget=time_budget,
+                ),
+                STATUS_ENUMERATED,
+                n=n,
+                stage="enumeration",
             )
-            if enumeration.status == "budget-exceeded":
-                raise _BudgetSkip(n=n, stage="enumeration")
             all_ones = (1 << n) - 1
             for witness in enumeration.witnesses:
                 dominators = [

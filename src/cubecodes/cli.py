@@ -15,7 +15,15 @@ from .limits import ResourceLimitError, non_negative
 from .words import BitWord, Family, has_circular_ones_run, iter_family_bits, parse_family
 from .graphs import VertexSet, build_graph
 from .codes import STATUS_BUDGET, STATUS_EXHAUSTED, search_constrained
-from .claims import CLAIM_IDS, applicable_params, run_claim
+from .claims import (
+    CLAIM_IDS,
+    VERDICT_FAIL,
+    VERDICT_PASS,
+    VERDICT_SKIPPED,
+    applicable_params,
+    run_all,
+    run_claim,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,44 +92,41 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _claim_params(args) -> dict:
+def _cmd_verify(args) -> int:
     params = {}
-    if args.n_max is not None:
-        params["n_max"] = args.n_max
-    if args.p is not None:
-        params["p_set"] = [args.p]
-    elif args.p_set is not None:
-        params["p_set"] = args.p_set
-    if args.n_set is not None:
-        params["n_set"] = args.n_set
     if args.budget_nodes is not None:
         params["node_budget"] = args.budget_nodes
     if args.budget_seconds is not None:
         params["time_budget"] = args.budget_seconds
-    return params
-
-
-def _cmd_verify(args) -> int:
-    params = _claim_params(args)
     if args.claim == "all":
-        # range parameters are claim-specific; only budgets fan out
-        params = {k: v for k, v in params.items() if k in ("node_budget", "time_budget")}
-    claim_ids = CLAIM_IDS if args.claim == "all" else (args.claim,)
-    reports = [
-        run_claim(claim_id, **applicable_params(claim_id, params)) for claim_id in claim_ids
-    ]
+        # a range flag sets one parameter of only some claims
+        ranges = {"--n-max": args.n_max, "--p": args.p, "--p-set": args.p_set, "--n-set": args.n_set}
+        given = [flag for flag, value in ranges.items() if value is not None]
+        if given:
+            args.usage_error(f"{', '.join(given)} cannot be used with --claim all")
+        reports = run_all(**params)
+    else:
+        if args.n_max is not None:
+            params["n_max"] = args.n_max
+        if args.p is not None:
+            params["p_set"] = [args.p]
+        elif args.p_set is not None:
+            params["p_set"] = args.p_set
+        if args.n_set is not None:
+            params["n_set"] = args.n_set
+        reports = [run_claim(args.claim, **applicable_params(args.claim, params))]
     if args.format == "json":
         _emit(json.dumps([r.to_json_dict() for r in reports]) + "\n", args.output)
     else:
         lines = []
         for r in reports:
             lines.append(f"{r.verdict.upper():<8} {r.claim:<18} params={json.dumps(r.params)}")
-            if r.verdict != "pass":
+            if r.verdict != VERDICT_PASS:
                 lines.append(f"         evidence={json.dumps(r.evidence)}")
         _emit("".join(line + "\n" for line in lines), args.output)
-    if any(r.verdict == "fail" for r in reports):
+    if any(r.verdict == VERDICT_FAIL for r in reports):
         return EXIT_ERROR
-    if any(r.verdict == "skipped" for r in reports):
+    if any(r.verdict == VERDICT_SKIPPED for r in reports):
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -211,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget-seconds", type=budget_seconds, default=None)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--output", "-o", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, usage_error=p_verify.error)
 
     p_export = sub.add_parser("export", help="export a graph as DOT or JSON")
     p_export.add_argument("--family", type=_family_arg, required=True, help=family_help)

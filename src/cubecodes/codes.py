@@ -28,6 +28,11 @@ hands its open subtrees to forked worker processes, which run the same loop
 on them; merged in DFS order, they give the serial node counts, counts and
 witnesses.
 
+search_constrained is the one function that builds and runs a search.  It
+reads COUNTED_MIN_VERTICES, SPLIT_AFTER_S, CHECK_EVERY and _split_workers
+when called, so tests force a cover state, a split or a clock stride by
+patching these module names, not through parameters.
+
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
 """
@@ -61,16 +66,21 @@ def _as_code(graph: InducedGraph, code) -> VertexSet:
     return VertexSet.from_words(graph, code)
 
 
-def is_code(graph: InducedGraph, code) -> bool:
-    """True iff the members' closed neighborhoods are pairwise disjoint."""
+def _disjoint_cover(graph: InducedGraph, code) -> int | None:
+    """Union of the members' closed neighborhoods, or None if two of them meet."""
     code = _as_code(graph, code)
     cover = 0
     for i in code.ids():
         nb = graph.closed_mask(i)
         if cover & nb:
-            return False
+            return None
         cover |= nb
-    return True
+    return cover
+
+
+def is_code(graph: InducedGraph, code) -> bool:
+    """True iff the members' closed neighborhoods are pairwise disjoint."""
+    return _disjoint_cover(graph, code) is not None
 
 
 def is_dominating(graph: InducedGraph, code) -> bool:
@@ -84,14 +94,7 @@ def is_dominating(graph: InducedGraph, code) -> bool:
 
 def is_perfect_code(graph: InducedGraph, code) -> bool:
     """True iff the closed neighborhoods of the members partition V(G)."""
-    code = _as_code(graph, code)
-    cover = 0
-    for i in code.ids():
-        nb = graph.closed_mask(i)
-        if cover & nb:
-            return False
-        cover |= nb
-    return cover == (1 << len(graph)) - 1
+    return _disjoint_cover(graph, code) == (1 << len(graph)) - 1
 
 
 @dataclass
@@ -186,10 +189,21 @@ _COVERED = 1 << 62
 
 
 class _Blocks:
-    """The closed-neighborhood blocks N[v] of one graph, as bitmaps over ids."""
+    """The closed-neighborhood blocks N[v] of one graph, as bitmaps over ids.
 
-    def __init__(self, masks: list[int]):
-        self.masks = masks
+    A graph over the engine cap is refused here, before any search state.
+    """
+
+    def __init__(self, graph: InducedGraph):
+        cap = engine_cap()
+        if len(graph) > cap:
+            raise ResourceLimitError(
+                f"search on {len(graph)} vertices exceeds the engine cap of {cap}"
+                " (raise CUBECODES_ENGINE_CAP to override)",
+                "engine_cap",
+                cap,
+            )
+        self.masks = [graph.closed_mask(i) for i in range(len(graph))]
         self.members: list[tuple[int, ...]] | None = None
         self._ball2: dict[int, int] = {}
 
@@ -335,14 +349,12 @@ class _CountedCover:
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect,
-                 split_at=None, check_every=CHECK_EVERY):
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect, split_at=None):
         self.order = order
         self.node_budget = node_budget
         self.deadline = deadline
         self.stop_at_first = stop_at_first
         self.split_at = split_at
-        self.check_every = check_every
         self.nodes = 0
         self.count = 0
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
@@ -358,12 +370,13 @@ class _CoverSearch:
         usable block is a dead end, one is a forced move applied to the
         node's own state, and more push a branch point whose children each
         get a copy of it (the last child takes the original).  At a clock
-        read past split_at, the run keeps its open subtrees and stops.
+        read, every CHECK_EVERY nodes, past split_at, the run keeps its open
+        subtrees and stops.
         """
         node_budget = self.node_budget
         deadline = self.deadline
         split_at = self.split_at
-        check_every = self.check_every
+        check_every = CHECK_EVERY
         nodes = self.nodes
         next_check = nodes + check_every
         stack: list[list] = []  # [state, candidates, next index, len(chosen)]
@@ -475,18 +488,6 @@ class _CoverSearch:
         if self.order is not None:
             out.sort(key=self.order.__getitem__)
         return out
-
-
-def _closed_masks(graph: InducedGraph) -> list[int]:
-    cap = engine_cap()
-    if len(graph) > cap:
-        raise ResourceLimitError(
-            f"search on {len(graph)} vertices exceeds the engine cap of {cap}"
-            " (raise CUBECODES_ENGINE_CAP to override)",
-            "engine_cap",
-            cap,
-        )
-    return [graph.closed_mask(i) for i in range(len(graph))]
 
 
 def _normalize_mode(mode: str) -> str:
@@ -637,54 +638,27 @@ def search_constrained(
     Blocks N[v] with forbidden(v) are removed from the cover; the universe
     to dominate is still all of V(G).  Budgets default to the
     CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment caps, and
-    must be non-negative.  A search still running after SPLIT_AFTER_S is
-    split over the CPUs this process may use, as _split_workers allows.
+    must be non-negative.
+
+    Four module names are read at each call, and tests patch them to force
+    a cover state, a split or a clock stride: COUNTED_MIN_VERTICES picks the
+    state, and a search with no node budget (which stays one global count)
+    splits over the _split_workers() processes, if more than one, at the
+    first clock read, every CHECK_EVERY nodes, past SPLIT_AFTER_S that finds
+    at least two open subtrees.
     """
     if node_budget is None:
         node_budget = default_node_budget()
     if time_budget is None:
         time_budget = default_time_budget()
-    return _search(
-        graph,
-        forbidden,
-        mode,
-        len(graph) >= COUNTED_MIN_VERTICES,
-        node_budget=node_budget,
-        time_budget=time_budget,
-        seed=seed,
-        collect_witnesses=collect_witnesses,
-        split_after=SPLIT_AFTER_S,
-        workers=_split_workers(),
-    )
-
-
-def _search(
-    graph: InducedGraph,
-    forbidden: Callable[[BitWord], bool] | None,
-    mode: str,
-    counted: bool,
-    *,
-    node_budget: int | None = None,
-    time_budget: float | None = None,
-    seed: int = 0,
-    collect_witnesses: bool = False,
-    split_after: float | None = None,
-    workers: int = 1,
-    check_every: int = CHECK_EVERY,
-) -> SearchOutcome:
-    """search_constrained with the cover-state representation given by counted.
-
-    With split_after seconds, workers > 1 and no node budget (which stays
-    one global count), the search splits at the first clock read, every
-    check_every nodes, past split_after that finds at least two open subtrees.
-    """
     mode = _normalize_mode(mode)
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget} s")
-    masks = _closed_masks(graph)
-    n_vertices = len(masks)
+    workers = _split_workers() if node_budget is None else 1
+    blocks = _Blocks(graph)
+    n_vertices = len(graph)
 
     allowed = 0
     if forbidden is None:
@@ -696,10 +670,8 @@ def _search(
 
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
-    split = split_after is not None and workers > 1 and node_budget is None
-    split_at = started + split_after if split else None
-    blocks = _Blocks(masks)
-    if counted:
+    split_at = started + SPLIT_AFTER_S if workers > 1 else None
+    if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
     else:
         root = _BitmapCover(blocks, (1 << n_vertices) - 1, allowed)
@@ -710,7 +682,6 @@ def _search(
         mode in (MODE_FIRST, MODE_PROVE_NONE),
         collect_witnesses and mode == MODE_ENUMERATE,
         split_at,
-        check_every,
     )
     status = search.run(root, [])
     if status == _SPLIT:

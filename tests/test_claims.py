@@ -58,10 +58,34 @@ def test_fibonacci_nonexistence_small():
     assert report.verdict == "pass"
 
 
+@pytest.mark.parametrize("check", [check_lucas_nonexistence, check_fibonacci_nonexistence])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_nonexistence_below_n4_fails(check, n_max):
+    # no n >= 4 would be searched, so the claim would pass unchecked
+    report = check(n_max=n_max)
+    assert report.verdict == "fail"
+    assert report.evidence == {"n_max": n_max, "stage": "precondition n_max >= 4"}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_hypercube_avoidance_below_n3_fails(n):
+    # Q_n with n < 3 has no run length s with 2 <= s <= n - 1 to check
+    report = check_hypercube_avoidance(n_set=(3, n))
+    assert report.verdict == "fail"
+    assert report.evidence == {"n": n, "stage": "precondition n >= 3"}
+
+
 def test_budget_interruption_never_passes():
     report = check_lucas_nonexistence(n_max=14, node_budget=20)
     assert report.verdict == "skipped"
     assert report.evidence["reason"] == "budget"
+
+
+def test_hypercube_avoidance_enumeration_budget_skips():
+    # 6 nodes rule out every s for n = 3; the enumeration then runs out
+    report = check_hypercube_avoidance(n_set=(3,), node_budget=6)
+    assert report.verdict == "skipped"
+    assert report.evidence["stage"] == "enumeration"
 
 
 def test_low_weight_structure_pass():

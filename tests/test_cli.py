@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cubecodes
-from cubecodes import codes
+from cubecodes import cli, codes
 from cubecodes.claims import CLAIM_IDS
 from cubecodes.cli import build_parser, main
 
@@ -116,7 +116,7 @@ def test_malformed_budget_is_usage_error(capsys, command, flag, value):
 # two processes at its first clock read; the forks are counted on stderr.
 _FORK_HYGIENE = """
 import os, sys
-from cubecodes import codes
+from cubecodes import cli, codes
 from cubecodes.cli import main
 
 codes.SPLIT_AFTER_S = 0.0
@@ -287,6 +287,40 @@ def test_verify_range_that_checks_nothing_is_usage_error(capsys, argv, flag):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert flag in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--claim", "thm-main", "--n-max", "2"],
+        ["--claim", "fib-nonexistence", "--n-max", "0"],
+        ["--claim", "prop-qn-avoid", "--n-set", "0"],
+    ],
+)
+def test_verify_range_below_the_claim_fails(capsys, argv):
+    # each used to print PASS with nothing of the claim's range searched
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out.startswith("FAIL") and "PASS" not in out and "precondition" in out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--n-max", "6"], ["--p", "2"], ["--p-set", "2,3"], ["--n-set", "3"]]
+)
+def test_verify_all_refuses_range_flags(capsys, flags):
+    # a range flag fits only some claims, and --claim all used to drop it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--claim", "all", *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert flags[0] in captured.err and captured.out == ""
+
+
+def test_verify_all_runs_every_claim_with_the_budgets(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_all", lambda **params: calls.append(params) or [])
+    assert main(["verify", "--claim", "all", "--budget-nodes", "7", "--budget-seconds", "2"]) == 0
+    assert calls == [{"node_budget": 7, "time_budget": 2.0}]
 
 
 def test_help_lists_every_claim_id():

@@ -31,10 +31,29 @@ from cubecodes import (
     search_constrained,
 )
 from cubecodes import codes
-from cubecodes.codes import COUNTED_MIN_VERTICES, _search
+from cubecodes.codes import CHECK_EVERY, COUNTED_MIN_VERTICES
 from cubecodes.graphs import InducedGraph
 
 W = BitWord.from_string
+
+
+def forced_search(graph, forbidden, mode, counted, *, split_after=None, workers=1,
+                  check_every=CHECK_EVERY, **kwargs):
+    """search_constrained in the counted or the bitmap state, split as given.
+
+    Patches the four module names the search reads when called:
+    codes.COUNTED_MIN_VERTICES, codes.SPLIT_AFTER_S, codes._split_workers
+    and codes.CHECK_EVERY.  With split_after None or workers 1 the run is
+    serial, however long it takes.
+    """
+    if split_after is None:
+        split_after, workers = codes.SPLIT_AFTER_S, 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "COUNTED_MIN_VERTICES", 0 if counted else len(graph) + 1)
+        patch.setattr(codes, "SPLIT_AFTER_S", split_after)
+        patch.setattr(codes, "_split_workers", lambda: workers)
+        patch.setattr(codes, "CHECK_EVERY", check_every)
+        return search_constrained(graph, forbidden, mode, **kwargs)
 
 
 def test_is_code_examples():
@@ -177,7 +196,7 @@ def test_time_budget_stops_near_its_deadline(split_after, workers):
     # two processes; both stop within a few clock reads of 0.25 s.
     g = build_graph(LUCAS, 17)
     start = time.monotonic()
-    out = _search(g, None, "prove_none", True, time_budget=0.25, split_after=split_after, workers=workers)
+    out = forced_search(g, None, "prove_none", True, time_budget=0.25, split_after=split_after, workers=workers)
     assert out.status == "budget-exceeded"
     assert time.monotonic() - start < 1.5
     assert_no_child_process()
@@ -302,8 +321,8 @@ def search_both(graph, forbidden, mode, **kwargs):
     state ends a node as soon as a vertex has no usable block left, where
     the bitmap state may first make forced moves, so it never searches more.
     """
-    bitmap = _search(graph, forbidden, mode, False, **kwargs)
-    counted = _search(graph, forbidden, mode, True, **kwargs)
+    bitmap = forced_search(graph, forbidden, mode, False, **kwargs)
+    counted = forced_search(graph, forbidden, mode, True, **kwargs)
     assert _verdict(bitmap) == _verdict(counted)
     assert counted.nodes <= bitmap.nodes
     return bitmap, counted
@@ -318,7 +337,7 @@ def search_split(graph, forbidden, mode, **kwargs):
     """
     serial = search_both(graph, forbidden, mode, **kwargs)
     for workers, counted, check_every in ((2, False, 1), (3, True, 4)):
-        split = _search(
+        split = forced_search(
             graph, forbidden, mode, counted,
             split_after=0.0, workers=workers, check_every=check_every, **kwargs,
         )
@@ -439,8 +458,8 @@ def test_split_over_more_workers_than_cpus():
     for family, n, mode in ((FIBONACCI, 12, "prove_none"), (HYPERCUBE, 7, "enumerate")):
         g = build_graph(family, n)
         counted = len(g) >= COUNTED_MIN_VERTICES
-        serial = _search(g, None, mode, counted, collect_witnesses=True)
-        split = _search(
+        serial = forced_search(g, None, mode, counted, collect_witnesses=True)
+        split = forced_search(
             g, None, mode, counted, collect_witnesses=True,
             split_after=0.0, workers=workers, check_every=8,
         )
@@ -455,9 +474,9 @@ def test_split_stops_at_the_serial_witness():
     q7 = build_graph(HYPERCUBE, 7)
     avoid = lambda w: has_circular_ones_run(w, 7)
     for seed in (0, 3, 11):
-        serial = _search(q7, avoid, "first", False, seed=seed)
+        serial = forced_search(q7, avoid, "first", False, seed=seed)
         for check_every in range(1, serial.nodes):
-            split = _search(
+            split = forced_search(
                 q7, avoid, "first", False, seed=seed,
                 split_after=0.0, workers=2, check_every=check_every,
             )
