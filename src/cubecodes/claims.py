@@ -257,6 +257,8 @@ def check_odd_square_arithmetic(n_max: int = 10**6) -> ClaimReport:
     params = {"n_max": n_max}
 
     def body(evidence):
+        if n_max < 1:
+            raise _Failure(n_max=n_max, stage="precondition n_max >= 1")
         checked = 0
         for n in range(1, n_max + 1, 2):
             _require((n * n + 1) % 6 != 0, n=n)
@@ -277,6 +279,8 @@ def check_cover_count_arithmetic(n_max: int = 10**6) -> ClaimReport:
     params = {"n_max": n_max}
 
     def body(evidence):
+        if n_max < 9:
+            raise _Failure(n_max=n_max, stage="precondition n_max >= 9")
         values = 0
         for n in range(9, n_max + 1, 6):
             product = n * (n * n - 10 * n + 23)

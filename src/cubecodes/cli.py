@@ -93,27 +93,27 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    params = {}
-    if args.budget_nodes is not None:
-        params["node_budget"] = args.budget_nodes
-    if args.budget_seconds is not None:
-        params["time_budget"] = args.budget_seconds
+    budgets = {"node_budget": args.budget_nodes, "time_budget": args.budget_seconds}
+    params = {name: value for name, value in budgets.items() if value is not None}
+    # a range flag sets one parameter, which not every claim takes
+    ranges = {
+        "--n-max": ("n_max", args.n_max),
+        "--p": ("p_set", None if args.p is None else [args.p]),
+        "--p-set": ("p_set", args.p_set),
+        "--n-set": ("n_set", args.n_set),
+    }
+    given = {flag: param for flag, param in ranges.items() if param[1] is not None}
+    params.update(given.values())
+    claim_ids = CLAIM_IDS if args.claim == "all" else (args.claim,)
+    refused = [
+        flag for flag, (name, _) in given.items()
+        if any(name not in applicable_params(claim_id, params) for claim_id in claim_ids)
+    ]
+    if refused:
+        args.usage_error(f"{', '.join(refused)} cannot be used with --claim {args.claim}")
     if args.claim == "all":
-        # a range flag sets one parameter of only some claims
-        ranges = {"--n-max": args.n_max, "--p": args.p, "--p-set": args.p_set, "--n-set": args.n_set}
-        given = [flag for flag, value in ranges.items() if value is not None]
-        if given:
-            args.usage_error(f"{', '.join(given)} cannot be used with --claim all")
         reports = run_all(**params)
     else:
-        if args.n_max is not None:
-            params["n_max"] = args.n_max
-        if args.p is not None:
-            params["p_set"] = [args.p]
-        elif args.p_set is not None:
-            params["p_set"] = args.p_set
-        if args.n_set is not None:
-            params["n_set"] = args.n_set
         reports = [run_claim(args.claim, **applicable_params(args.claim, params))]
     if args.format == "json":
         _emit(json.dumps([r.to_json_dict() for r in reports]) + "\n", args.output)

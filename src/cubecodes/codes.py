@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .limits import ResourceLimitError, default_node_budget, default_time_budget, engine_cap
+from .limits import ResourceLimitError, check_cap, default_node_budget, default_time_budget
 from .words import BitWord
 from .graphs import InducedGraph, VertexSet
 
@@ -195,14 +195,7 @@ class _Blocks:
     """
 
     def __init__(self, graph: InducedGraph):
-        cap = engine_cap()
-        if len(graph) > cap:
-            raise ResourceLimitError(
-                f"search on {len(graph)} vertices exceeds the engine cap of {cap}"
-                " (raise CUBECODES_ENGINE_CAP to override)",
-                "engine_cap",
-                cap,
-            )
+        check_cap("engine_cap", len(graph), f"a search on {len(graph)} vertices")
         self.masks = [graph.closed_mask(i) for i in range(len(graph))]
         self.members: list[tuple[int, ...]] | None = None
         self._ball2: dict[int, int] = {}

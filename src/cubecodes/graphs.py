@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
-from .limits import ResourceLimitError, graph_cap
+from .limits import check_cap, graph_cap
 from .words import BitWord, Family, iter_family_bits
 
 
@@ -243,28 +244,15 @@ class VertexSet:
         return bool(self.mask >> w & 1)
 
 
-def build_graph(family: Family, n: int, max_vertices: int | None = None) -> InducedGraph:
+def build_graph(family: Family, n: int) -> InducedGraph:
     """Materialize the subgraph of Q_n induced by the family's members.
 
-    The enumeration scan cap and the graph vertex cap both apply; either
-    rejection names the cap that was hit.
+    The enumeration cap is checked before the scan starts; the scan stops
+    one word past the graph cap, and a family that reaches it is refused.
+    Either rejection names the cap that was hit.
     """
-    cap = graph_cap() if max_vertices is None else max_vertices
-    if family.kind == "qn" and (1 << n) > cap:
-        raise ResourceLimitError(
-            f"hypercube at n={n} has 2^{n} vertices, above the cap of {cap}"
-            " (raise CUBECODES_GRAPH_CAP to override)",
-            "graph_cap",
-            cap,
-        )
-    vertices = list(iter_family_bits(family, n))
-    if len(vertices) > cap:
-        raise ResourceLimitError(
-            f"graph would have {len(vertices)} vertices, above the cap of {cap}"
-            " (raise CUBECODES_GRAPH_CAP to override)",
-            "graph_cap",
-            cap,
-        )
+    vertices = list(islice(iter_family_bits(family, n), max(graph_cap(), 0) + 1))
+    check_cap("graph_cap", len(vertices), f"the {family} graph at n={n}")
     return InducedGraph(n, vertices, family)
 
 

@@ -1,20 +1,21 @@
-"""Resource caps and their environment-variable overrides.
+"""Resource caps, each set only by its environment variable, and default budgets.
 
-Every cap is a plain module function so callers always see the current
-environment; nothing is cached at import time.
+Every cap and default budget is read when it is used, so callers see the
+current environment; nothing is cached at import time.  check_cap is the
+one place a request is held against a cap.
 """
 
 import os
 
-_ENV_ENUM_CAP = "CUBECODES_ENUM_CAP"
-_ENV_GRAPH_CAP = "CUBECODES_GRAPH_CAP"
-_ENV_ENGINE_CAP = "CUBECODES_ENGINE_CAP"
 _ENV_BUDGET_NODES = "CUBECODES_BUDGET_NODES"
 _ENV_BUDGET_SECONDS = "CUBECODES_BUDGET_SECONDS"
 
-DEFAULT_ENUM_CAP = 1 << 20
-DEFAULT_GRAPH_CAP = 1 << 17
-DEFAULT_ENGINE_CAP = 1 << 12
+# ResourceLimitError.cap_name -> (environment variable, default)
+_CAPS = {
+    "enum_cap": ("CUBECODES_ENUM_CAP", 1 << 20),
+    "graph_cap": ("CUBECODES_GRAPH_CAP", 1 << 17),
+    "engine_cap": ("CUBECODES_ENGINE_CAP", 1 << 12),
+}
 
 
 class ResourceLimitError(RuntimeError):
@@ -55,17 +56,31 @@ def non_negative(parse):
 
 def enum_cap() -> int:
     """Maximum number of candidate words an enumeration may scan."""
-    return _int_env(_ENV_ENUM_CAP, DEFAULT_ENUM_CAP)
+    return _int_env(*_CAPS["enum_cap"])
 
 
 def graph_cap() -> int:
     """Maximum vertex count for a materialized induced graph."""
-    return _int_env(_ENV_GRAPH_CAP, DEFAULT_GRAPH_CAP)
+    return _int_env(*_CAPS["graph_cap"])
 
 
 def engine_cap() -> int:
     """Maximum vertex count the exact-cover search engine accepts."""
-    return _int_env(_ENV_ENGINE_CAP, DEFAULT_ENGINE_CAP)
+    return _int_env(*_CAPS["engine_cap"])
+
+
+def check_cap(cap_name: str, needed: int, what: str) -> None:
+    """Raise ResourceLimitError when needed exceeds the named cap.
+
+    cap_name is "enum_cap", "graph_cap" or "engine_cap"; what names the
+    request and opens the message, which gives the cap and its variable.
+    """
+    env, default = _CAPS[cap_name]
+    cap = _int_env(env, default)
+    if needed > cap:
+        raise ResourceLimitError(
+            f"{what} exceeds the cap of {cap} (raise {env} to override)", cap_name, cap
+        )
 
 
 _non_negative_int = non_negative(int)

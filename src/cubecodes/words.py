@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .limits import ResourceLimitError, enum_cap
+from .limits import check_cap
 
 MAX_LENGTH = 62
 
@@ -211,21 +211,14 @@ def _check_length(n: int):
         raise ValueError(f"length must be in 0..{MAX_LENGTH}, got {n}")
 
 
-def iter_family_bits(family: Family, n: int, cap: int | None = None) -> Iterator[int]:
+def iter_family_bits(family: Family, n: int) -> Iterator[int]:
     """Yield packed members of the family at length n in ascending order.
 
     The scan covers all 2^n candidates; a scan larger than the enumeration
     cap is rejected up front.
     """
     _check_length(n)
-    limit = enum_cap() if cap is None else cap
-    if (1 << n) > limit:
-        raise ResourceLimitError(
-            f"enumeration at n={n} scans 2^{n} words, above the cap of {limit}"
-            " (raise CUBECODES_ENUM_CAP to override)",
-            "enum_cap",
-            limit,
-        )
+    check_cap("enum_cap", 1 << n, f"enumeration at n={n} of 2^{n} words")
     if family.kind == KIND_HYPERCUBE:
         yield from range(1 << n)
         return
@@ -235,9 +228,9 @@ def iter_family_bits(family: Family, n: int, cap: int | None = None) -> Iterator
             yield bits
 
 
-def enumerate_family(family: Family, n: int, cap: int | None = None) -> list[BitWord]:
+def enumerate_family(family: Family, n: int) -> list[BitWord]:
     """All members of the family at length n, ascending, duplicate-free."""
-    return [BitWord(n, bits) for bits in iter_family_bits(family, n, cap)]
+    return [BitWord(n, bits) for bits in iter_family_bits(family, n)]
 
 
 def _nck(a: int, b: int) -> int:

@@ -67,6 +67,21 @@ def test_nonexistence_below_n4_fails(check, n_max):
     assert report.evidence == {"n_max": n_max, "stage": "precondition n_max >= 4"}
 
 
+@pytest.mark.parametrize(
+    "check, n_max, stage",
+    [
+        (check_odd_square_arithmetic, 0, "precondition n_max >= 1"),
+        (check_cover_count_arithmetic, 0, "precondition n_max >= 9"),
+        (check_cover_count_arithmetic, 8, "precondition n_max >= 9"),
+    ],
+)
+def test_arithmetic_below_the_first_value_fails(check, n_max, stage):
+    # no odd n (arith-lemma) or n = 6p + 3 >= 9 (arith-thm) would be checked
+    report = check(n_max=n_max)
+    assert report.verdict == "fail"
+    assert report.evidence == {"n_max": n_max, "stage": stage}
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_hypercube_avoidance_below_n3_fails(n):
     # Q_n with n < 3 has no run length s with 2 <= s <= n - 1 to check
@@ -144,10 +159,10 @@ def test_report_json_shape():
 
 
 def test_run_all_forwards_applicable_params():
-    reports = run_all(n_max=6, p_set=(2,))
+    reports = run_all(n_max=9, p_set=(2,))
     assert [r.claim for r in reports] == list(CLAIM_IDS)
     by_id = {r.claim: r for r in reports}
-    assert by_id["prop-count"].params["n_max"] == 6
+    assert by_id["prop-count"].params["n_max"] == 9
     assert by_id["prop-1n"].params["p_set"] == [2]
     # n_max must not leak into runners that do not take it
     assert "n_max" not in by_id["lemma-0n"].params

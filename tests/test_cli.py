@@ -295,6 +295,8 @@ def test_verify_range_that_checks_nothing_is_usage_error(capsys, argv, flag):
         ["--claim", "thm-main", "--n-max", "2"],
         ["--claim", "fib-nonexistence", "--n-max", "0"],
         ["--claim", "prop-qn-avoid", "--n-set", "0"],
+        ["--claim", "arith-lemma", "--n-max", "0"],
+        ["--claim", "arith-thm", "--n-max", "8"],
     ],
 )
 def test_verify_range_below_the_claim_fails(capsys, argv):
@@ -311,6 +313,24 @@ def test_verify_all_refuses_range_flags(capsys, flags):
     # a range flag fits only some claims, and --claim all used to drop it
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--claim", "all", *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert flags[0] in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "claim, flags",
+    [
+        ("arith-lemma", ["--p", "3"]),
+        ("lemma-0n", ["--n-max", "8"]),
+        ("prop-1n", ["--n-set", "3"]),
+        ("thm-main", ["--p-set", "2,3"]),
+    ],
+)
+def test_verify_refuses_a_range_flag_the_claim_does_not_take(capsys, claim, flags):
+    # each used to print PASS with the flag dropped
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--claim", claim, *flags])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert flags[0] in captured.err and captured.out == ""
@@ -351,3 +371,24 @@ def test_malformed_env_value_names_the_variable(capsys, monkeypatch, name, value
     code, _, err = run_cli(capsys, "search", "--family", "lucas", "--n", "4", "--mode", "prove-none")
     assert code == 1
     assert name in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "env, argv, name",
+    [
+        ({}, ["enumerate", "--family", "qn", "--n", "21", "--count"], "CUBECODES_ENUM_CAP"),
+        ({}, ["search", "--family", "qn", "--n", "21"], "CUBECODES_ENUM_CAP"),
+        (
+            {"CUBECODES_GRAPH_CAP": "100"},
+            ["search", "--family", "lucas", "--n", "12"],
+            "CUBECODES_GRAPH_CAP",
+        ),
+        ({}, ["search", "--family", "qn", "--n", "13"], "CUBECODES_ENGINE_CAP"),
+    ],
+)
+def test_resource_cap_names_its_variable(capsys, monkeypatch, env, argv, name):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert name in err

@@ -18,7 +18,9 @@ from cubecodes import (
     gen_lucas,
     hamming_distance,
 )
+from cubecodes import graphs
 from cubecodes.graphs import InducedGraph
+from cubecodes.words import iter_family_bits
 
 W = BitWord.from_string
 
@@ -195,11 +197,30 @@ def test_vertex_set_basics():
         VertexSet(g, 1 << 10)
 
 
-def test_graph_cap():
+def test_graph_cap(monkeypatch):
+    monkeypatch.setenv("CUBECODES_GRAPH_CAP", "100")
     with pytest.raises(ResourceLimitError):
-        build_graph(HYPERCUBE, 10, max_vertices=100)
+        build_graph(HYPERCUBE, 10)
     with pytest.raises(ResourceLimitError):
-        build_graph(LUCAS, 10, max_vertices=100)
+        build_graph(LUCAS, 10)
+
+
+@pytest.mark.parametrize("family", [LUCAS, FIBONACCI, gen_lucas(3)])
+def test_graph_cap_stops_the_scan_one_word_past_the_cap(monkeypatch, family):
+    # a family over the cap used to be listed in full before it was refused
+    taken = []
+
+    def counting(family, n):
+        for bits in iter_family_bits(family, n):
+            taken.append(bits)
+            yield bits
+
+    monkeypatch.setattr(graphs, "iter_family_bits", counting)
+    monkeypatch.setenv("CUBECODES_GRAPH_CAP", "100")
+    with pytest.raises(ResourceLimitError) as err:
+        build_graph(family, 12)
+    assert err.value.cap_name == "graph_cap"
+    assert len(taken) == 101
 
 
 def test_large_graph_probes_neighbors_on_the_fly():

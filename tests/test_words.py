@@ -217,9 +217,10 @@ def test_enumerate_family_sorted_unique():
                 assert is_member(family, w)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("CUBECODES_ENUM_CAP", "512")
     with pytest.raises(ResourceLimitError) as err:
-        enumerate_family(LUCAS, 10, cap=512)
+        enumerate_family(LUCAS, 10)
     assert "512" in str(err.value)
 
 
