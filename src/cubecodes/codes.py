@@ -25,8 +25,8 @@ and witnesses, and the counted state searches fewer nodes.
 
 A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
 hands its open subtrees to forked worker processes, which run the same loop
-on them; merged in DFS order, they give the serial node counts, counts and
-witnesses.
+on them and send their results back through a pipe each; merged in DFS
+order, they give the serial node counts, counts and witnesses.
 
 search_constrained is the one function that builds and runs a search.  It
 reads COUNTED_MIN_VERTICES, SPLIT_AFTER_S, CHECK_EVERY and _split_workers
@@ -456,7 +456,7 @@ class _CoverSearch:
         That is where the serial loop would have stopped, so the nodes,
         count, solutions and witness are the serial ones.  A subtree out of
         time makes the whole search budget-exceeded, counting the nodes of
-        every subtree that reported.
+        every subtree searched.
         """
         if any(result[0] == STATUS_BUDGET for result in results.values()):
             self.nodes += sum(result[1] for result in results.values())
@@ -502,99 +502,77 @@ def _run_split(search: _CoverSearch, workers: int) -> str | None:
     """Search the open subtrees in this process and workers - 1 forked children.
 
     Every process claims subtree indices from one pipe, shallowest (last in
-    DFS order, and largest) first, and children send each result back
-    through a second pipe with marshal.  The results are settled once every
-    subtree before the first with a found code has one, and the later ones
-    are cancelled, as the serial loop never reaches them; or at once when a
-    subtree runs out of time, which cancels all the rest.  A child that
-    fails before the results settle makes this raise.
+    DFS order, and largest) first, until none is left or one of its own
+    subtrees runs out of time.  Each child then writes its results, a dict
+    from subtree index to result, with marshal into a pipe that it alone
+    writes, and this process reads every child's pipe to its end once its
+    own claims are done.  A child writes only after its last claim, so a
+    full pipe never holds back a claim.  A subtree after one with a found
+    code is still searched, to its own first code at most, and merge drops
+    it, as the serial loop never reaches it.  A child that fails makes this
+    raise.
     """
     # Only a split search needs these; the module imports none of them.
     import marshal
     import os
 
     n_subtrees = len(search.subtrees)
-    results: dict[int, tuple] = {}
-    stop = n_subtrees  # subtrees from this index on are cancelled
-
-    def record(i: int, result: tuple):
-        nonlocal stop
-        results[i] = result
-        if result[0] == STATUS_BUDGET:
-            stop = -1
-        elif result[0] is not None:
-            stop = min(stop, i)
-
-    def claims(fd: int):
-        while data := os.read(fd, 4):
-            i = int.from_bytes(data, "little")
-            if i < stop:
-                yield i
-
     tasks_r, tasks_w = os.pipe()
     os.write(tasks_w, b"".join(i.to_bytes(4, "little") for i in reversed(range(n_subtrees))))
     os.close(tasks_w)
-    results_r, results_w = os.pipe()
-    children: list[int] = []
-    settled = False
+
+    def claims():
+        while data := os.read(tasks_r, 4):
+            i = int.from_bytes(data, "little")
+            result = search.run_subtree(i)
+            yield i, result
+            if result[0] == STATUS_BUDGET:
+                return
+
+    children: list[tuple[int, int]] = []  # (pid, read end of the child's results pipe)
+    finished = False
     try:
         for _ in range(min(workers, n_subtrees) - 1):
-            pid = os.fork()
+            results_r, results_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(results_r)
+                os.close(results_w)
+                raise
             if pid == 0:
                 code = 1
                 try:
                     os.close(results_r)
                     with open(results_w, "wb") as out:
-                        for i in claims(tasks_r):
-                            result = search.run_subtree(i)
-                            record(i, result)
-                            data = marshal.dumps((i, result))
-                            out.write(len(data).to_bytes(4, "little") + data)
-                            out.flush()
+                        marshal.dump(dict(claims()), out)
                     code = 0
                 finally:
                     # No atexit handlers, no flush of the stdio buffers copied from the parent.
                     os._exit(code)
-            children.append(pid)
-        os.close(results_w)
-        results_w = None
-        buffer = bytearray()
-
-        def receive() -> bool:
-            """Read and record what children sent; False at end of file."""
+            os.close(results_w)
+            children.append((pid, results_r))
+        results = dict(claims())
+        for _, results_r in children:
+            # marshal.load on a file would make a call for every value it reads.
+            with open(results_r, "rb", closefd=False) as pipe:
+                data = pipe.read()
             try:
-                data = os.read(results_r, 1 << 16)
-            except BlockingIOError:
-                return True
-            buffer.extend(data)
-            while len(buffer) >= 4:
-                size = int.from_bytes(buffer[:4], "little")
-                if len(buffer) < 4 + size:
-                    break
-                record(*marshal.loads(buffer[4 : 4 + size]))
-                del buffer[: 4 + size]
-            return bool(data)
-
-        os.set_blocking(results_r, False)
-        for i in claims(tasks_r):
-            record(i, search.run_subtree(i))
-            receive()
-        os.set_blocking(results_r, True)
-        while not all(i in results for i in range(stop)):
-            if not receive():
-                raise RuntimeError("a search worker process ended without its results")
-        settled = True
+                results.update(marshal.loads(data))
+            except EOFError:  # empty or cut short: a child that failed
+                pass
+        finished = True
     finally:
-        for fd in (tasks_r, results_r, results_w):
-            if fd is not None:
-                os.close(fd)
-        if children and (not settled or stop < n_subtrees):
+        os.close(tasks_r)
+        for _, results_r in children:
+            os.close(results_r)
+        if not finished:
             import signal  # only here: once imported, a module stays in memory
 
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)  # cancelled, or the search failed
-        statuses = [os.waitpid(pid, 0)[1] for pid in children]
-    if stop == n_subtrees and any(statuses):
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)  # the search failed or was interrupted
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    if any(statuses):
         raise RuntimeError(f"a search worker process failed (wait statuses {statuses})")
     return search.merge(results)
 

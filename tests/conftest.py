@@ -1,10 +1,22 @@
-"""Shared test settings: hypothesis runs derandomized and without deadlines.
+"""Shared test settings and checks.
 
-Example generation then repeats from run to run, and a slow moment on a
-shared host cannot fail a property test.
+Hypothesis runs derandomized and without deadlines: example generation then
+repeats from run to run, and a slow moment on a shared host cannot fail a
+property test.  Every test must also leave no child process unreaped, so a
+split search that loses track of a forked worker fails the test that ran it.
 """
 
+import os
+
+import pytest
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -218,6 +218,29 @@ def test_export_plain_word_list(capsys, tmp_path):
     assert json.loads(out)["code"] == [0]
 
 
+def test_export_json_word_array(capsys, tmp_path):
+    code_path = tmp_path / "code.json"
+    code_path.write_text('["000"]')
+    code, out, _ = run_cli(
+        capsys,
+        "export", "--family", "lucas", "--n", "3", "--format", "json",
+        "--highlight-code", str(code_path),
+    )
+    assert code == 0
+    assert json.loads(out)["code"] == [0]
+
+
+def test_export_rejects_json_scalar(capsys, tmp_path):
+    code_path = tmp_path / "code.json"
+    code_path.write_text("7")
+    code, out, err = run_cli(
+        capsys,
+        "export", "--family", "lucas", "--n", "3", "--highlight-code", str(code_path),
+    )
+    assert code == 1
+    assert "cannot read a code" in err and out == ""
+
+
 def test_export_rejects_foreign_code_word(capsys, tmp_path):
     code_path = tmp_path / "code.txt"
     code_path.write_text("0110\n")
@@ -243,7 +266,9 @@ def test_verify_unknown_claim_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--claim", "prop-none-such"])
     assert exit_info.value.code == 2
-    _, err = capsys.readouterr().out, capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "invalid choice" in captured.err and "prop-none-such" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_budget_exit_4(capsys):
@@ -278,6 +303,7 @@ def test_verify_p_and_p_set_are_exclusive(capsys):
         (["--claim", "prop-1n", "--p-set", ","], "--p-set"),
         (["--claim", "lemma-0n", "--n-set", ""], "--n-set"),
         (["--claim", "thm-main", "--n-max", "-3"], "--n-max"),
+        (["--claim", "prop-1n", "--p-set", "2,x"], "--p-set"),
     ],
 )
 def test_verify_range_that_checks_nothing_is_usage_error(capsys, argv, flag):

@@ -185,11 +185,6 @@ def test_malformed_env_budget_names_the_variable(monkeypatch, name, value):
         find_perfect_code(build_graph(LUCAS, 12), "prove_none")
 
 
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("split_after, workers", [(None, 1), (0.05, 2)])
 def test_time_budget_stops_near_its_deadline(split_after, workers):
     # Lucas n=17 prove-none (134k nodes) takes seconds, serial or split over
@@ -199,7 +194,6 @@ def test_time_budget_stops_near_its_deadline(split_after, workers):
     out = forced_search(g, None, "prove_none", True, time_budget=0.25, split_after=split_after, workers=workers)
     assert out.status == "budget-exceeded"
     assert time.monotonic() - start < 1.5
-    assert_no_child_process()
 
 
 def test_seeded_search_same_verdict():
@@ -448,12 +442,11 @@ def test_split_node_counts_are_pinned():
     for family, n, nodes in ((LUCAS, 15, 4752), (FIBONACCI, 14, 2405)):
         out = find_perfect_code(build_graph(family, n), "prove_none")
         assert (out.status, out.nodes) == ("exhausted", nodes), (family, n)
-    assert_no_child_process()
 
 
 def test_split_over_more_workers_than_cpus():
-    # Workers contend for the task pipe and the result pipe; every subtree
-    # is still searched once, and the merge is the serial result.
+    # Workers contend for the task pipe; every subtree is still searched
+    # once, and the merge is the serial result.
     workers = len(os.sched_getaffinity(0)) + 3
     for family, n, mode in ((FIBONACCI, 12, "prove_none"), (HYPERCUBE, 7, "enumerate")):
         g = build_graph(family, n)
@@ -464,13 +457,12 @@ def test_split_over_more_workers_than_cpus():
             split_after=0.0, workers=workers, check_every=8,
         )
         assert _fingerprint(split) == _fingerprint(serial), (family, n)
-    assert_no_child_process()
 
 
 def test_split_stops_at_the_serial_witness():
     # Every split point of a first-mode search that branches: the witness is
-    # the serial one, and so is the node count, whatever later subtree the
-    # other workers were searching when it settled.
+    # the serial one, and so is the node count, whatever later subtrees the
+    # other workers searched.
     q7 = build_graph(HYPERCUBE, 7)
     avoid = lambda w: has_circular_ones_run(w, 7)
     for seed in (0, 3, 11):
@@ -481,7 +473,68 @@ def test_split_stops_at_the_serial_witness():
                 split_after=0.0, workers=2, check_every=check_every,
             )
             assert _fingerprint(split) == _fingerprint(serial), (seed, check_every)
-    assert_no_child_process()
+
+
+def disjoint_k2_pieces(n_pieces):
+    """Disjoint K2 pieces {x0, x1}, x of even weight: 2^n_pieces perfect codes."""
+    xs = [x for x in range(1 << 10) if x.bit_count() % 2 == 0][:n_pieces]
+    return InducedGraph(11, sorted(x << 1 | b for x in xs for b in (0, 1)))
+
+
+@pytest.mark.parametrize("check_every", [4, 6, 8])
+def test_split_results_of_many_workers_stay_apart(check_every):
+    # Each worker sends thousands of witnesses, records far longer than an
+    # atomic pipe write; no worker's records may mix with another's.  Mixed
+    # records depend on how the processes interleave, so each split runs
+    # several times.
+    g = disjoint_k2_pieces(14)
+    serial = forced_search(g, None, "enumerate", False, collect_witnesses=True)
+    assert serial.count == 1 << 14
+    for attempt in range(5):
+        split = forced_search(
+            g, None, "enumerate", False, collect_witnesses=True,
+            split_after=0.0, workers=4, check_every=check_every,
+        )
+        assert _fingerprint(split) == _fingerprint(serial), attempt
+
+
+@pytest.mark.parametrize("failing, error", [("child", RuntimeError), ("parent", ZeroDivisionError)])
+def test_split_raises_when_a_process_fails(monkeypatch, failing, error):
+    # A subtree search that raises in a forked worker fails the whole search;
+    # one that raises in this process propagates.  Either way every worker
+    # is reaped, which the conftest fixture checks.  The other processes
+    # pause before each subtree, so the failing ones get subtrees to claim.
+    parent = os.getpid()
+    run_subtree = codes._CoverSearch.run_subtree
+
+    def failing_run_subtree(search, i):
+        if (os.getpid() != parent) == (failing == "child"):
+            raise ZeroDivisionError("subtree search failed")
+        time.sleep(0.05)
+        return run_subtree(search, i)
+
+    monkeypatch.setattr(codes._CoverSearch, "run_subtree", failing_run_subtree)
+    with pytest.raises(error, match="worker" if failing == "child" else "subtree"):
+        forced_search(build_graph(LUCAS, 12), None, "prove_none", True, split_after=0.0, workers=3, check_every=8)
+
+
+def test_split_closes_its_pipes_when_fork_fails(monkeypatch):
+    # The second fork fails: the error propagates, the first worker is
+    # reaped, and no pipe end stays open.
+    fork = os.fork
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        forced_search(build_graph(LUCAS, 12), None, "prove_none", True, split_after=0.0, workers=3, check_every=8)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.fixture
@@ -520,8 +573,7 @@ def test_split_uses_every_cpu_and_only_one_thread(counted_forks):
 def test_deep_search_needs_no_recursion():
     # 512 disjoint K2 pieces {x0, x1} with x of even weight: no edges run
     # between pieces, so first mode branches once per piece, 512 deep.
-    words = sorted(x << 1 | b for x in range(1 << 10) if x.bit_count() % 2 == 0 for b in (0, 1))
-    g = InducedGraph(11, words)
+    g = disjoint_k2_pieces(512)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
