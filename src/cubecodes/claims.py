@@ -2,8 +2,10 @@
 
 Each runner exercises one claim at configurable desk-scale bounds and
 returns a structured report: the parameters actually used, a verdict, and
-the evidence counts.  A runner never reports pass when its search budget
-was exhausted; that outcome is a skip, recorded as such.
+the evidence counts.  A check either returns its evidence, and passes, or
+raises `_Stop` with a fail or skip verdict and the evidence of where it
+stopped.  A runner never reports pass when its search budget was
+exhausted; that outcome is a skip, recorded as such.
 
 Claim ids (stable, used by the command line):
   prop-count        weight-level counting formulas for the cube families
@@ -20,8 +22,7 @@ Claim ids (stable, used by the command line):
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 
 from .words import (
     BitWord,
@@ -63,47 +64,33 @@ class ClaimReport:
     evidence: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
-class _Failure(Exception):
-    def __init__(self, **evidence):
-        self.evidence = evidence
+class _Stop(Exception):
+    """Ends a check early with a verdict other than pass and its evidence."""
 
-
-class _BudgetSkip(Exception):
-    def __init__(self, **evidence):
+    def __init__(self, verdict: str, **evidence):
+        self.verdict = verdict
         self.evidence = evidence
 
 
 def _report(claim: str, params: dict, body) -> ClaimReport:
-    evidence: dict = {}
     try:
-        body(evidence)
-    except _Failure as f:
-        evidence.update(f.evidence)
-        return ClaimReport(claim, params, VERDICT_FAIL, evidence)
-    except _BudgetSkip as s:
-        evidence.update(s.evidence)
-        evidence["reason"] = "budget"
-        return ClaimReport(claim, params, VERDICT_SKIPPED, evidence)
-    return ClaimReport(claim, params, VERDICT_PASS, evidence)
+        return ClaimReport(claim, params, VERDICT_PASS, body())
+    except _Stop as stop:
+        return ClaimReport(claim, params, stop.verdict, stop.evidence)
 
 
 def _require(condition: bool, **evidence):
     if not condition:
-        raise _Failure(**evidence)
+        raise _Stop(VERDICT_FAIL, **evidence)
 
 
 def _search_verdict(outcome, expect: str, **evidence):
     """Map an engine outcome onto claim bookkeeping, honoring budgets."""
     if outcome.status == STATUS_BUDGET:
-        raise _BudgetSkip(nodes=outcome.nodes, **evidence)
+        raise _Stop(VERDICT_SKIPPED, nodes=outcome.nodes, **evidence, reason="budget")
     _require(outcome.status == expect, status=outcome.status, **evidence)
     return outcome
 
@@ -116,7 +103,7 @@ def check_weight_counts(n_max: int = 14) -> ClaimReport:
     """Closed-form weight-level counts match enumeration, plus spot formulas."""
     params = {"n_max": n_max, "spot_n_range": [6, 20]}
 
-    def body(evidence):
+    def body():
         levels = 0
         for n in range(n_max + 1):
             lucas = enumerate_family(LUCAS, n)
@@ -137,8 +124,7 @@ def check_weight_counts(n_max: int = 14) -> ClaimReport:
             _require(count_weight_level(LUCAS, n, 3) == n * (n - 4) * (n - 5) // 6, spot="k3", n=n)
             _require(count_weight_level(LUCAS, n, 2, leading_one=True) == n - 3, spot="k2lead", n=n)
         _require(count_weight_level(LUCAS, 5, 2) == 5, spot="lambda_5_2")
-        evidence["levels_checked"] = levels
-        evidence["spot_checks"] = 3 * 15 + 1
+        return {"levels_checked": levels, "spot_checks": 3 * 15 + 1}
 
     return _report("prop-count", params, body)
 
@@ -147,43 +133,29 @@ def check_weight_counts(n_max: int = 14) -> ClaimReport:
 # thm-main / fib-nonexistence
 # ---------------------------------------------------------------------------
 
-def _nonexistence_scan(claim, family, family_name, n_max, node_budget, time_budget):
-    params = {"family": family_name, "n_max": n_max}
+def _nonexistence_scan(claim, family, n_max, node_budget, time_budget):
+    params = {"family": str(family), "n_max": n_max}
 
-    def body(evidence):
-        if n_max < 4:
-            raise _Failure(n_max=n_max, stage="precondition n_max >= 4")
+    def body():
+        _require(n_max >= 4, n_max=n_max, stage="precondition n_max >= 4")
         nodes = 0
-        for n in range(4):
+        for n in range(n_max + 1):
             graph = build_graph(family, n)
+            # A first-code search that finds none has proved that none exists.
             outcome = _search_verdict(
                 find_perfect_code(
                     graph, "first", node_budget=node_budget, time_budget=time_budget
                 ),
-                STATUS_FOUND,
+                STATUS_FOUND if n < 4 else STATUS_EXHAUSTED,
                 n=n,
             )
-            _require(is_perfect_code(graph, outcome.witness), n=n, stage="revalidate")
-            if family is LUCAS:
-                _require(
-                    [str(w) for w in outcome.witness.words()] == ["0" * n],
-                    n=n,
-                    witness=[str(w) for w in outcome.witness.words()],
-                )
+            if n < 4:
+                _require(is_perfect_code(graph, outcome.witness), n=n, stage="revalidate")
+                if family is LUCAS:
+                    witness = [str(w) for w in outcome.witness.words()]
+                    _require(witness == ["0" * n], n=n, witness=witness)
             nodes += outcome.nodes
-        for n in range(4, n_max + 1):
-            graph = build_graph(family, n)
-            outcome = _search_verdict(
-                find_perfect_code(
-                    graph, "prove_none", node_budget=node_budget, time_budget=time_budget
-                ),
-                STATUS_EXHAUSTED,
-                n=n,
-            )
-            nodes += outcome.nodes
-        evidence["found_up_to"] = 3
-        evidence["exhausted_range"] = [4, n_max]
-        evidence["nodes"] = nodes
+        return {"found_up_to": 3, "exhausted_range": [4, n_max], "nodes": nodes}
 
     return _report(claim, params, body)
 
@@ -194,7 +166,7 @@ def check_lucas_nonexistence(
     time_budget: float | None = None,
 ) -> ClaimReport:
     """Lucas cubes: perfect code found for n <= 3, none exists for 4..n_max."""
-    return _nonexistence_scan("thm-main", LUCAS, "lucas", n_max, node_budget, time_budget)
+    return _nonexistence_scan("thm-main", LUCAS, n_max, node_budget, time_budget)
 
 
 def check_fibonacci_nonexistence(
@@ -203,7 +175,7 @@ def check_fibonacci_nonexistence(
     time_budget: float | None = None,
 ) -> ClaimReport:
     """Fibonacci cubes: perfect code found for n <= 3, none exists for 4..n_max."""
-    return _nonexistence_scan("fib-nonexistence", FIBONACCI, "fib", n_max, node_budget, time_budget)
+    return _nonexistence_scan("fib-nonexistence", FIBONACCI, n_max, node_budget, time_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +186,9 @@ def check_low_weight_structure(n_set=tuple(range(6, 15))) -> ClaimReport:
     """Neighbor counts between low weight levels of the Lucas cube."""
     params = {"n_set": list(n_set)}
 
-    def body(evidence):
+    def body():
         for n in n_set:
-            if n < 6:
-                raise _Failure(n=n, stage="precondition n >= 6")
+            _require(n >= 6, n=n, stage="precondition n >= 6")
             graph = build_graph(LUCAS, n)
             starts_with_one = lambda w: w.bit(1) == 1
             # Subset comparisons: an empty weight level (e.g. level 4 at
@@ -242,8 +213,7 @@ def check_low_weight_structure(n_set=tuple(range(6, 15))) -> ClaimReport:
                     n=n,
                     check="f",
                 )
-        evidence["n_set"] = list(n_set)
-        evidence["checks"] = ["a", "b", "c", "d", "e", "f(odd n)"]
+        return {"n_set": list(n_set), "checks": ["a", "b", "c", "d", "e", "f(odd n)"]}
 
     return _report("lemma-0n", params, body)
 
@@ -256,14 +226,13 @@ def check_odd_square_arithmetic(n_max: int = 10**6) -> ClaimReport:
     """No odd integer n has 6 dividing n^2 + 1."""
     params = {"n_max": n_max}
 
-    def body(evidence):
-        if n_max < 1:
-            raise _Failure(n_max=n_max, stage="precondition n_max >= 1")
+    def body():
+        _require(n_max >= 1, n_max=n_max, stage="precondition n_max >= 1")
         checked = 0
         for n in range(1, n_max + 1, 2):
             _require((n * n + 1) % 6 != 0, n=n)
             checked += 1
-        evidence["odd_integers_checked"] = checked
+        return {"odd_integers_checked": checked}
 
     return _report("arith-lemma", params, body)
 
@@ -274,13 +243,13 @@ def check_cover_count_arithmetic(n_max: int = 10**6) -> ClaimReport:
     For n = 6p + 3 the putative weight-3 leftover count n(n^2 - 10n + 23)/6
     is an odd integer, so never divisible by 4; 3 divides n(n - 3) exactly
     when 3 divides n; and the leftover count equals the difference of the
-    closed-form level sizes.
+    closed-form level sizes: |L_3| - |L_2|/3 = n(n^2 - 10n + 23)/6, checked
+    times 6 in integers.
     """
     params = {"n_max": n_max}
 
-    def body(evidence):
-        if n_max < 9:
-            raise _Failure(n_max=n_max, stage="precondition n_max >= 9")
+    def body():
+        _require(n_max >= 9, n_max=n_max, stage="precondition n_max >= 9")
         values = 0
         for n in range(9, n_max + 1, 6):
             product = n * (n * n - 10 * n + 23)
@@ -297,15 +266,9 @@ def check_cover_count_arithmetic(n_max: int = 10**6) -> ClaimReport:
         for n in range(n_max + 1):
             _require((n * (n - 3) % 3 == 0) == (n % 3 == 0), n=n, stage="mult of 3")
         for n in range(6, 21):
-            lhs = Fraction(count_weight_level(LUCAS, n, 3)) - Fraction(
-                count_weight_level(LUCAS, n, 2), 3
-            )
-            _require(
-                lhs == Fraction(n * (n * n - 10 * n + 23), 6),
-                n=n,
-                stage="level difference",
-            )
-        evidence["values_checked"] = values
+            difference = 6 * count_weight_level(LUCAS, n, 3) - 2 * count_weight_level(LUCAS, n, 2)
+            _require(difference == n * (n * n - 10 * n + 23), n=n, stage="level difference")
+        return {"values_checked": values}
 
     return _report("arith-thm", params, body)
 
@@ -322,11 +285,10 @@ def check_hypercube_avoidance(
     """No perfect code of Q_n has all codewords free of cyclic runs 1^s."""
     params = {"n_set": list(n_set)}
 
-    def body(evidence):
+    def body():
         counts = {}
         for n in n_set:
-            if n < 3:
-                raise _Failure(n=n, stage="precondition n >= 3")
+            _require(n >= 3, n=n, stage="precondition n >= 3")
             graph = build_graph(HYPERCUBE, n)
             for s in range(2, n):
                 outcome = search_constrained(
@@ -360,8 +322,10 @@ def check_hypercube_avoidance(
                 _require(len(dominators) == 1, n=n, stage="unique dominator")
                 _require(dominators[0].weight() >= n - 1, n=n, stage="dominator weight")
             counts[str(n)] = enumeration.count
-        evidence["perfect_code_counts"] = counts
-        evidence["s_checked"] = {str(n): [2, n - 1] for n in n_set}
+        return {
+            "perfect_code_counts": counts,
+            "s_checked": {str(n): [2, n - 1] for n in n_set},
+        }
 
     return _report("prop-qn-avoid", params, body)
 
@@ -370,11 +334,16 @@ def check_hypercube_avoidance(
 # prop-1n / prop-1n12
 # ---------------------------------------------------------------------------
 
+def _orders_record(code) -> dict:
+    graph = code.graph
+    return {"code": len(code), "graph": len(graph), "connected": graph.is_connected()}
+
+
 def check_full_run_construction(p_set=(2, 3, 4)) -> ClaimReport:
     """The translated Hamming code is perfect in the graph missing only 1^n."""
     params = {"p_set": list(p_set)}
 
-    def body(evidence):
+    def body():
         orders = {}
         for p in p_set:
             code = construct_gen_lucas_code(p, S_KIND_FULL)
@@ -383,12 +352,8 @@ def check_full_run_construction(p_set=(2, 3, 4)) -> ClaimReport:
             _require(len(graph) == (1 << n) - 1, p=p, stage="graph order")
             _require(len(code) == (1 << n) // (n + 1), p=p, stage="code order")
             _require(is_perfect_code(graph, code), p=p, stage="perfect")
-            orders[str(p)] = {
-                "code": len(code),
-                "graph": len(graph),
-                "connected": graph.is_connected(),
-            }
-        evidence["orders"] = orders
+            orders[str(p)] = _orders_record(code)
+        return {"orders": orders}
 
     return _report("prop-1n", params, body)
 
@@ -397,7 +362,7 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
     """The Hamming code minus 1^n is perfect two forbidden-run lengths down."""
     params = {"p_set": list(p_set)}
 
-    def body(evidence):
+    def body():
         orders = {}
         for p in p_set:
             hamming = build_hamming(p)
@@ -413,15 +378,15 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
                 for bits in graph.vertices:
                     word = BitWord(n, bits)
                     if hamming.decode(word).bits not in graph.index:
-                        raise _Failure(
-                            p=p, s_kind=s_kind, stage="decode closure", vertex=str(word)
+                        raise _Stop(
+                            VERDICT_FAIL,
+                            p=p,
+                            s_kind=s_kind,
+                            stage="decode closure",
+                            vertex=str(word),
                         )
-                orders[f"p{p},{s_kind}"] = {
-                    "code": len(code),
-                    "graph": len(graph),
-                    "connected": graph.is_connected(),
-                }
-        evidence["orders"] = orders
+                orders[f"p{p},{s_kind}"] = _orders_record(code)
+        return {"orders": orders}
 
     return _report("prop-1n12", params, body)
 

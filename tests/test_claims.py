@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecodes import CLAIM_IDS, BitWord, run_all, run_claim
+from cubecodes import CLAIM_IDS, LUCAS, BitWord, claims, run_all, run_claim
 from cubecodes.claims import (
     check_cover_count_arithmetic,
     check_fibonacci_nonexistence,
@@ -93,7 +93,7 @@ def test_hypercube_avoidance_below_n3_fails(n):
 def test_budget_interruption_never_passes():
     report = check_lucas_nonexistence(n_max=14, node_budget=20)
     assert report.verdict == "skipped"
-    assert report.evidence["reason"] == "budget"
+    assert list(report.evidence.items()) == [("nodes", 21), ("n", 7), ("reason", "budget")]
 
 
 def test_hypercube_avoidance_enumeration_budget_skips():
@@ -101,6 +101,20 @@ def test_hypercube_avoidance_enumeration_budget_skips():
     report = check_hypercube_avoidance(n_set=(3,), node_budget=6)
     assert report.verdict == "skipped"
     assert report.evidence["stage"] == "enumeration"
+
+
+def test_failed_requirement_reports_where_it_failed(monkeypatch):
+    # one word too many in level 2 of the Lucas cube at n = 5
+    count = claims.count_weight_level
+
+    def off_by_one(family, n, k, **kwargs):
+        level = count(family, n, k, **kwargs)
+        return level + 1 if (family, n, k) == (LUCAS, 5, 2) else level
+
+    monkeypatch.setattr(claims, "count_weight_level", off_by_one)
+    report = check_weight_counts(n_max=6)
+    assert report.verdict == "fail"
+    assert report.evidence == {"family": "lucas", "n": 5, "k": 2}
 
 
 def test_low_weight_structure_pass():

@@ -149,6 +149,17 @@ def test_split_search_output_is_the_serial_one(capsys, monkeypatch):
     assert split == serial
 
 
+def test_entrypoint_reports_length_beyond_the_word_limit():
+    src = str(Path(cubecodes.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-m", "cubecodes.cli", "enumerate", "--family", "lucas", "--n", "63"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src},
+    )
+    assert child.returncode == 1
+    assert "length must be in 0..62" in child.stderr
+    assert child.stdout == ""
+
+
 def test_search_enumerate_count(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--family", "qn", "--n", "3", "--mode", "enumerate"

@@ -284,6 +284,27 @@ def test_engine_vertex_cap():
         find_perfect_code(build_graph(HYPERCUBE, 13))
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (
+            lambda: search_constrained(build_graph(LUCAS, 3), None, "sideways"),
+            ValueError,
+            "unknown search mode 'sideways'",
+        ),
+        (
+            lambda: enumerate_perfect_codes_naive(InducedGraph(5, list(range(25)))),
+            ResourceLimitError,
+            r"2\^25 subsets refused",
+        ),
+    ],
+    ids=["unknown-mode", "naive-scan-too-large"],
+)
+def test_search_input_rejected(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_foreign_code_rejected():
     g = build_graph(LUCAS, 4)
     other = build_graph(LUCAS, 4)

@@ -197,6 +197,26 @@ def test_vertex_set_basics():
         VertexSet(g, 1 << 10)
 
 
+def test_vertex_set_contains_ids():
+    vs = VertexSet.from_ids(build_graph(LUCAS, 3), [0])
+    assert 0 in vs
+    assert 1 not in vs
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: InducedGraph(3, [8]), "must fit in 3 bits"),
+        (lambda: InducedGraph(3, [2, 1]), "strictly ascending"),
+        (lambda: build_graph(LUCAS, 3).id_of(W("00")), "does not match graph length 3"),
+    ],
+    ids=["word-too-wide", "descending", "short-word"],
+)
+def test_malformed_graph_input_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_graph_cap(monkeypatch):
     monkeypatch.setenv("CUBECODES_GRAPH_CAP", "100")
     with pytest.raises(ResourceLimitError):

@@ -22,6 +22,7 @@ from cubecodes import (
     is_member,
     parse_family,
 )
+from cubecodes.words import Family
 
 W = BitWord.from_string
 
@@ -61,6 +62,20 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BitWord.from_string("01x1")
     assert str(BitWord(0, 0)) == ""
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Family("qn", 3), "takes no run parameter"),
+        (lambda: Family("nope"), "unknown family kind"),
+        (lambda: has_circular_ones_run(W("101"), 0), "run length must be positive"),
+    ],
+    ids=["plain-kind-with-s", "unknown-kind", "zero-run"],
+)
+def test_malformed_family_input_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_bit_positions():
