@@ -8,6 +8,7 @@ resource error, 2 usage error, 3 search exhausted with no code,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -234,9 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built at its first call and kept for the process.
+
+    Building takes over ten times as long as parsing one command line, and
+    parse_args changes nothing in the parser, so calls share it safely.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as e:

@@ -23,15 +23,43 @@ the blocks it drops, and a node is a dead end as soon as a count reaches
 branch point and no solution, so both give the same branch points, counts
 and witnesses, and the counted state searches fewer nodes.
 
+In first and prove_none mode the search skips subtrees that a symmetry maps
+onto a sibling already searched.  G is the group generated by the rotation
+of the n coordinates and their reversal, each kept only if it maps the
+vertex set and the set of allowed blocks onto themselves; it is checked in
+O(V) per generator when the search first backtracks, and dropped if it
+fails.  A coordinate permutation moves no Hamming distance, so every
+element of G is an automorphism of the graph that maps allowed blocks to
+allowed blocks.  For lucas, lucas1s:s, and qn (also with a rotation- and
+reversal-invariant forbidden set, such as a cyclic run) G is the dihedral
+group of order 2n; for fib and fib1s:s (s < n), whose runs are linear, the
+reversal alone.  Each branch point carries a group H of elements that map
+the blocks chosen above it onto themselves: at the root G, below that the H
+of the branch point above, cut down to the elements that map the blocks
+taken since onto themselves.  If g in H maps candidate c to a later
+candidate c', then g maps the codes that contain the chosen blocks and c
+onto those that contain them and c', so the subtree of c' holds a code iff
+that of c does; and the search went through c's subtree without finding
+one, or it would have stopped.  So a branch point tries only the first
+candidate of each H-orbit, in candidate order; its H and that cut are
+worked out when the search first comes back to it, so a search that never
+backtracks builds no group.  This only removes subtrees: the MRV choices,
+the candidate order, statuses and first-mode witnesses, seeded or not, are
+those of the plain tree, and nodes, which counts the pruned tree, can only
+fall.  H depends only on the path to a node, so a split leaves the tree as
+it is.  enumerate searches the plain tree: counting codes this way would
+need the size of every skipped orbit.
+
 A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
 hands its open subtrees to forked worker processes, which run the same loop
 on them and send their results back through a pipe each; merged in DFS
 order, they give the serial node counts, counts and witnesses.
 
 search_constrained is the one function that builds and runs a search.  It
-reads COUNTED_MIN_VERTICES, SPLIT_AFTER_S, CHECK_EVERY and _split_workers
-when called, so tests force a cover state, a split or a clock stride by
-patching these module names, not through parameters.
+reads COUNTED_MIN_VERTICES, SPLIT_AFTER_S, CHECK_EVERY, _split_workers and
+_symmetry_group when called, so tests force a cover state, a split, a clock
+stride or the plain tree by patching these module names, not through
+parameters.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
@@ -39,6 +67,7 @@ reports budget-exceeded and never masquerades as an exhaustion proof.
 
 from __future__ import annotations
 
+import array
 import random
 import time
 from dataclasses import dataclass
@@ -157,11 +186,23 @@ CHECK_EVERY = 32
 # A search that has run this long splits into its open subtrees, which the
 # CPUs this process may use then search in forked worker processes.  A
 # split costs about 3 ms (fork, then reaping the child), so a search that
-# splits near its end runs slower: on a busy 2-CPU host, split at 30 ms,
-# prove-none on Fibonacci n=13 (899 nodes, 33 ms serial) ran at 0.91x of
-# serial, Lucas n=13 (716, 26 ms) at 0.99x, Lucas and Fibonacci n=14 (1.9k
-# and 2.4k nodes) at 1.2x, Lucas n=15 (4.8k) at 1.4x and n=16 (15k) at
-# 1.6x.  The refute benchmark (20 s runs, rescaled to a quiet host):
+# splits near its end runs slower.  Serial time / time split at 30 ms of
+# prove-none, medians of 15 interleaved runs (5 on Lucas n=16), two rounds
+# on a busy 2-CPU host:
+#
+#   graph           plain tree                pruned by symmetry
+#   Fibonacci n=13    899 nodes  1.00-1.02x     899 nodes  0.90-1.00x
+#   Lucas n=13        716        1.00-1.08x     507        0.98-0.99x
+#   Lucas n=14      1,896        0.93-1.13x   1,427        0.99-1.01x
+#   Fibonacci n=14  2,405        0.93-1.23x   2,405        1.32-1.37x
+#   Lucas n=15      4,752        1.03-1.49x   1,737        1.07-1.18x
+#   Lucas n=16     14,833        1.80-1.90x  10,300        1.88-1.93x
+#
+# Pruned Lucas n=15 (about 60-95 ms serial) now ends soon after the split,
+# and one subtree holds most of the work left (557 of about 680 nodes), so
+# the second process has little to do; splitting it at 10 or 20 ms did not
+# help either.  On the plain tree the refute benchmark (20 s runs, rescaled
+# to a quiet host) read:
 #
 #   split after  runs  frontier_s (Lucas n=15)  wall_s
 #   10 ms        2     0.0701-0.0727 s          0.204-0.208 s
@@ -339,23 +380,135 @@ class _CountedCover:
         self.low = low & self.uncovered
 
 
+# Bit order reversed within each byte value.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_words(words, n: int) -> list[int]:
+    """Each n-bit word with its n bits in reverse order.
+
+    Each word is packed into one array item; reversing the bits of every
+    byte and then the bytes of every item reverses the item's bits, which
+    then end in the item's top n positions.
+    """
+    flipped = array.array("Q")
+    flipped.frombytes(array.array("Q", words).tobytes().translate(_REVERSED_BYTES))
+    flipped.byteswap()
+    shift = 8 * flipped.itemsize - n
+    return [w >> shift for w in flipped]
+
+
+def _symmetry_group(graph: InducedGraph, banned: set[int]) -> list[tuple[list[int], int, int]]:
+    """The rotations and reversals of the coordinates that map the search onto itself.
+
+    banned holds the words of the vertices whose blocks are not allowed.
+    The rotation by one position and the reversal are checked, each in
+    O(V): one that maps the vertex words and the banned words into
+    themselves maps each set onto itself, since it is one-to-one on words.
+    It moves no Hamming distance, so it is an automorphism of the graph that
+    maps the allowed blocks onto the allowed blocks.  A generator that fails
+    is dropped.  The group they generate is returned less its identity, as
+    elements (source, k, n - k): vertex x goes to the word source[x] rotated
+    left by k positions, where source is the vertex words or their
+    reversals.  Below n = 3 the group is left empty: there the rotation is
+    the reversal or the identity.
+    """
+    n = graph.n
+    if n < 3:
+        return []
+    words = graph.vertices
+    index = graph.index
+    full = (1 << n) - 1
+    m = n - 1
+    rotations = range(1, n)
+    if not (all([((w << 1) | (w >> m)) & full in index for w in words])
+            and all([((w << 1) | (w >> m)) & full in banned for w in banned])):
+        rotations = ()
+    group = [(words, k, n - k) for k in rotations]
+    reversals = _reversed_words(words, n)
+    if all([w in index for w in reversals]) and all([w in banned for w in _reversed_words(banned, n)]):
+        group += [(reversals, k, n - k) for k in (0, *rotations)]
+    return group
+
+
+class _Orbits:
+    """The group of one search and the two steps of the pruning.
+
+    A group is a list of elements as _symmetry_group returns them.
+    """
+
+    __slots__ = ("graph", "banned", "words", "full")
+
+    def __init__(self, graph: InducedGraph, banned: set[int]):
+        self.graph = graph
+        self.banned = banned
+        self.words = graph.vertices
+        self.full = (1 << graph.n) - 1
+
+    def group(self) -> list:
+        """The whole group G, which the search builds only once it first backtracks."""
+        return _symmetry_group(self.graph, self.banned)
+
+    def stabilizer(self, group: list, blocks: list[int]) -> list:
+        """The elements of group that map the blocks onto themselves."""
+        words = self.words
+        full = self.full
+        taken = {words[x] for x in blocks}
+        kept = []
+        for g in group:
+            source, k, m = g
+            for x in blocks:
+                w = source[x]
+                if ((w << k) | (w >> m)) & full not in taken:
+                    break
+            else:
+                kept.append(g)
+        return kept
+
+    def firsts(self, group: list, tries: list[int]) -> list[int]:
+        """The first of tries in each orbit of the group, in the order of tries."""
+        words = self.words
+        full = self.full
+        seen = set()
+        firsts = []
+        for x in tries[:-1]:
+            if words[x] not in seen:
+                firsts.append(x)
+                seen.update([((source[x] << k) | (source[x] >> m)) & full for source, k, m in group])
+        if words[tries[-1]] not in seen:
+            firsts.append(tries[-1])
+        return firsts
+
+
+def _origin(group: list | None, depth: int) -> list:
+    """A frame for the branch point above the first node of a run.
+
+    It has no candidates; group is its H (None for the root of a search
+    that prunes, whose H is the whole group G) and depth the len(chosen)
+    there.
+    """
+    return [None, (), 0, depth, group, None]
+
+
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect, split_at=None):
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect, split_at=None, orbits=None):
         self.order = order
         self.node_budget = node_budget
         self.deadline = deadline
         self.stop_at_first = stop_at_first
         self.split_at = split_at
+        self.orbits = orbits
         self.nodes = 0
         self.count = 0
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
         self.witness: tuple[int, ...] | None = None
-        # After a split: (base state, block to take or None, blocks chosen above).
+        # After a split: (base state, block to take or None, blocks chosen
+        # above, group and depth of the frame the subtree descends from).
         self.subtrees: list[tuple] = []
 
-    def run(self, state, chosen: list[int]) -> str | None:
+    def run(self, state, chosen: list[int], origin: list) -> str | None:
         """Search below state; STATUS_FOUND, STATUS_BUDGET or _SPLIT, or None once complete.
 
         chosen holds the blocks taken above state, and grows as the search
@@ -365,6 +518,12 @@ class _CoverSearch:
         get a copy of it (the last child takes the original).  At a clock
         read, every CHECK_EVERY nodes, past split_at, the run keeps its open
         subtrees and stops.
+
+        A frame is [state, candidates, next index, len(chosen), group,
+        origin]: origin is the frame its node descends from (at first the
+        given one), and group its symmetry group H, or None until _group
+        works it out, when the search first comes back to the frame.  A
+        frame below a trivial group has the trivial group.
         """
         node_budget = self.node_budget
         deadline = self.deadline
@@ -372,7 +531,7 @@ class _CoverSearch:
         check_every = CHECK_EVERY
         nodes = self.nodes
         next_check = nodes + check_every
-        stack: list[list] = []  # [state, candidates, next index, len(chosen)]
+        stack: list[list] = []
         try:
             while True:
                 if nodes >= next_check:
@@ -380,7 +539,7 @@ class _CoverSearch:
                     now = time.monotonic()
                     if deadline is not None and now > deadline:
                         return STATUS_BUDGET
-                    if split_at is not None and now >= split_at and self._split(state, chosen, stack):
+                    if split_at is not None and now >= split_at and self._split(state, chosen, stack, origin):
                         return _SPLIT
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
@@ -395,22 +554,30 @@ class _CoverSearch:
                 else:
                     cands = state.select()
                     if cands & (cands - 1):
-                        stack.append([state, self._ordered(cands), 0, len(chosen)])
+                        group = [] if origin[4] == [] else None
+                        stack.append([state, self._ordered(cands), 0, len(chosen), group, origin])
                     elif cands:
                         v = cands.bit_length() - 1
                         state.take(v)
                         chosen.append(v)
                         continue
-                if not stack:
-                    return None
-                frame = stack[-1]
-                base, tries, i, depth = frame
+                while True:
+                    if not stack:
+                        return None
+                    frame = stack[-1]
+                    if frame[2] and frame[4] is None:
+                        self._group(frame, chosen)
+                    if frame[2] < len(frame[1]):
+                        break
+                    stack.pop()  # the pruning left no untried candidate
+                base, tries, i, depth, _, _ = frame
                 if i + 1 < len(tries):
                     frame[2] = i + 1
                     state = base.copy()
                 else:
                     stack.pop()
                     state = base
+                origin = frame
                 del chosen[depth:]
                 v = tries[i]
                 state.take(v)
@@ -418,27 +585,58 @@ class _CoverSearch:
         finally:
             self.nodes = nodes
 
-    def _split(self, state, chosen, stack) -> bool:
+    def _split(self, state, chosen, stack, origin) -> bool:
         """Keep the open subtrees in DFS order, if there are 2 to _MAX_SUBTREES.
 
         The node about to be searched comes first, then, for each frame from
-        the top of the stack down, its untried candidates tries[i:].
+        the top of the stack down, its untried candidates tries[i:]; each
+        goes with the group and depth of the frame it descends from.  The
+        frames are all above the node, so working out the group of its
+        origin works out theirs too, which cuts their candidates as the
+        serial loop would.
         """
-        if not 2 <= 1 + sum(len(tries) - i for _, tries, i, _ in stack) <= _MAX_SUBTREES:
+        group = self._group(origin, chosen)
+        if not 2 <= 1 + sum(len(tries) - i for _, tries, i, _, _, _ in stack) <= _MAX_SUBTREES:
             return False
-        subtrees = [(state, None, tuple(chosen))]
-        for base, tries, i, depth in reversed(stack):
+        subtrees = [(state, None, tuple(chosen), group, origin[3])]
+        for base, tries, i, depth, frame_group, _ in reversed(stack):
             above = tuple(chosen[:depth])
-            subtrees.extend((base, v, above) for v in tries[i:])
+            subtrees.extend((base, v, above, frame_group, depth) for v in tries[i:])
         self.subtrees = subtrees
         return True
+
+    def _group(self, frame: list, chosen: list[int]) -> list:
+        """The group H of a frame, worked out on first use with those above it.
+
+        A frame's H is the H of its origin cut down to the elements that
+        map the blocks taken since the origin onto themselves; working it
+        out also cuts the frame's candidates to the first of each orbit of
+        H.  Only a frame whose first child is being searched can lack its H,
+        so no candidate but the first, which stays, has been tried.  chosen
+        holds the blocks above the frame.
+        """
+        orbits = self.orbits
+        pending = []
+        while frame[4] is None and frame[5] is not None:
+            pending.append(frame)
+            frame = frame[5]
+        group = frame[4]
+        if group is None:  # the root: the whole group G
+            group = frame[4] = orbits.group()
+        for f in reversed(pending):
+            if group:
+                group = orbits.stabilizer(group, chosen[f[5][3]:f[3]])
+                if group:
+                    f[1] = orbits.firsts(group, f[1])
+            f[4] = group
+        return group
 
     def run_subtree(self, i: int) -> tuple:
         """Search open subtree i to its end: (status, nodes, count, solutions, witness).
 
         The subtree's state is built here, by the process that claimed it.
         """
-        base, v, above = self.subtrees[i]
+        base, v, above, group, depth = self.subtrees[i]
         chosen = list(above)
         if v is None:
             state = base
@@ -446,8 +644,11 @@ class _CoverSearch:
             state = base.copy()
             state.take(v)
             chosen.append(v)
-        sub = _CoverSearch(self.order, None, self.deadline, self.stop_at_first, self.solutions is not None)
-        status = sub.run(state, chosen)
+        sub = _CoverSearch(
+            self.order, None, self.deadline, self.stop_at_first, self.solutions is not None,
+            orbits=self.orbits,
+        )
+        status = sub.run(state, chosen, _origin(group, depth))
         return status, sub.nodes, sub.count, sub.solutions, sub.witness
 
     def merge(self, results: dict[int, tuple]) -> str | None:
@@ -611,12 +812,13 @@ def search_constrained(
     CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment caps, and
     must be non-negative.
 
-    Four module names are read at each call, and tests patch them to force
-    a cover state, a split or a clock stride: COUNTED_MIN_VERTICES picks the
-    state, and a search with no node budget (which stays one global count)
-    splits over the _split_workers() processes, if more than one, at the
-    first clock read, every CHECK_EVERY nodes, past SPLIT_AFTER_S that finds
-    at least two open subtrees.
+    Five module names are read at each call, and tests patch them to force
+    a cover state, a split, a clock stride or the plain tree:
+    COUNTED_MIN_VERTICES picks the state, a search with no node budget
+    (which stays one global count) splits over the _split_workers()
+    processes, if more than one, at the first clock read, every CHECK_EVERY
+    nodes, past SPLIT_AFTER_S that finds at least two open subtrees, and
+    first and prove_none mode prune by the group _symmetry_group builds.
     """
     if node_budget is None:
         node_budget = default_node_budget()
@@ -632,12 +834,18 @@ def search_constrained(
     n_vertices = len(graph)
 
     allowed = 0
+    banned = set()
     if forbidden is None:
         allowed = (1 << n_vertices) - 1
     else:
         for i in range(n_vertices):
-            if not forbidden(graph.word(i)):
+            w = graph.word(i)
+            if forbidden(w):
+                banned.add(w.bits)
+            else:
                 allowed |= 1 << i
+    # enumerate counts every code, so it searches the plain tree
+    orbits = _Orbits(graph, banned) if mode != MODE_ENUMERATE else None
 
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
@@ -653,8 +861,9 @@ def search_constrained(
         mode in (MODE_FIRST, MODE_PROVE_NONE),
         collect_witnesses and mode == MODE_ENUMERATE,
         split_at,
+        orbits,
     )
-    status = search.run(root, [])
+    status = search.run(root, [], _origin(None if orbits else [], 0))
     if status == _SPLIT:
         status = _run_split(search, workers)
     if status is None:

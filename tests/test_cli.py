@@ -160,6 +160,30 @@ def test_entrypoint_reports_length_beyond_the_word_limit():
     assert child.stdout == ""
 
 
+def test_back_to_back_calls_share_no_state(capsys):
+    # main builds its parser once per process; a usage error in one call
+    # leaves nothing behind for the next, and each subcommand's defaults
+    # and usage errors stay its own.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--claim", "prop-1n", "--n-max", "9"])
+    assert exit_info.value.code == 2
+    assert "--n-max cannot be used with --claim prop-1n" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "search", "--family", "lucas", "--n", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["status"], payload["witness"], payload["seed"]) == ("found", ["000"], 0)
+    code, out, _ = run_cli(capsys, "verify", "--claim", "arith-thm", "--n-max", "10", "--format", "json")
+    assert code == 0
+    [report] = json.loads(out)
+    assert (report["claim"], report["verdict"], report["params"]) == ("arith-thm", "pass", {"n_max": 10})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "--family", "lucas"])
+    assert exit_info.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "verify", "--claim", "arith-thm", "--n-max", "10")
+    assert code == 0 and out.startswith("PASS     arith-thm")
+
+
 def test_search_enumerate_count(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--family", "qn", "--n", "3", "--mode", "enumerate"

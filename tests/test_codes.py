@@ -8,7 +8,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubecodes import (
     BitWord,
@@ -54,6 +54,11 @@ def forced_search(graph, forbidden, mode, counted, *, split_after=None, workers=
         patch.setattr(codes, "_split_workers", lambda: workers)
         patch.setattr(codes, "CHECK_EVERY", check_every)
         return search_constrained(graph, forbidden, mode, **kwargs)
+
+
+def no_symmetry(graph, banned):
+    """The trivial group: patched in for codes._symmetry_group, it gives the plain tree."""
+    return []
 
 
 def test_is_code_examples():
@@ -418,23 +423,30 @@ def test_representations_agree_on_random_graphs(graph, banned, seed):
     check_against_oracles(graph, forbidden, seeds=(0, seed))
 
 
-def test_node_counts_are_pinned():
-    # Sizes of the MRV search tree, bitmap and counted state: a change to the
-    # selection rule, the tie-break, the candidate order or the dead-end
-    # test moves them.
-    for family, n, mode, bitmap_nodes, counted_nodes in (
-        (LUCAS, 10, "prove_none", 142, 95),
-        (LUCAS, 12, "prove_none", 521, 303),
-        (LUCAS, 13, "prove_none", 1461, 716),
-        (LUCAS, 14, "prove_none", 3919, 1896),
-        (FIBONACCI, 13, "prove_none", 1835, 899),
-        (HYPERCUBE, 7, "enumerate", 3169, 3169),
+def test_node_counts_are_pinned(monkeypatch):
+    # Sizes of the MRV search tree, bitmap and counted state, first plain
+    # and then pruned by symmetry: a change to the selection rule, the
+    # tie-break, the candidate order, the dead-end test or the group moves
+    # them.  Enumerate searches the plain tree.  Split runs of the pruned
+    # tree are checked at every split point further down.
+    for family, n, mode, plain, pruned in (
+        (LUCAS, 10, "prove_none", (142, 95), (116, 77)),
+        (LUCAS, 12, "prove_none", (521, 303), (223, 140)),
+        (LUCAS, 13, "prove_none", (1461, 716), (1057, 507)),
+        (LUCAS, 14, "prove_none", (3919, 1896), (2958, 1427)),
+        (FIBONACCI, 12, "prove_none", (659, 332), (410, 224)),
+        (FIBONACCI, 13, "prove_none", (1835, 899), (1835, 899)),
+        (HYPERCUBE, 7, "enumerate", (3169, 3169), (3169, 3169)),
     ):
         g = build_graph(family, n)
-        bitmap, counted = search_split(g, None, mode)
-        assert (bitmap.nodes, counted.nodes) == (bitmap_nodes, counted_nodes), (family, n)
-        nodes = counted_nodes if len(g) >= COUNTED_MIN_VERTICES else bitmap_nodes
-        assert find_perfect_code(g, mode).nodes == nodes
+        state = 1 if len(g) >= COUNTED_MIN_VERTICES else 0
+        for group, search, (bitmap_nodes, counted_nodes) in (
+            (no_symmetry, search_split, plain), (codes._symmetry_group, search_both, pruned),
+        ):
+            monkeypatch.setattr(codes, "_symmetry_group", group)
+            bitmap, counted = search(g, None, mode)
+            assert (bitmap.nodes, counted.nodes) == (bitmap_nodes, counted_nodes), (family, n)
+            assert find_perfect_code(g, mode).nodes == (bitmap_nodes, counted_nodes)[state]
     assert len(build_graph(HYPERCUBE, 7)) < COUNTED_MIN_VERTICES <= len(build_graph(LUCAS, 12))
 
 
@@ -458,11 +470,15 @@ def test_counted_state_stops_at_a_vertex_without_blocks():
         assert bitmap.nodes > 1
 
 
-def test_split_node_counts_are_pinned():
-    # Long enough to split on a host with two CPUs; the tree stays the serial one.
-    for family, n, nodes in ((LUCAS, 15, 4752), (FIBONACCI, 14, 2405)):
-        out = find_perfect_code(build_graph(family, n), "prove_none")
-        assert (out.status, out.nodes) == ("exhausted", nodes), (family, n)
+def test_split_node_counts_are_pinned(monkeypatch):
+    # Long enough to split on a host with two CPUs; the tree stays the serial
+    # one, plain and pruned by symmetry.
+    for family, n, plain, pruned in ((LUCAS, 15, 4752, 1737), (FIBONACCI, 14, 2405, 2405)):
+        g = build_graph(family, n)
+        for group, nodes in ((no_symmetry, plain), (codes._symmetry_group, pruned)):
+            monkeypatch.setattr(codes, "_symmetry_group", group)
+            out = find_perfect_code(g, "prove_none")
+            assert (out.status, out.nodes) == ("exhausted", nodes), (family, n)
 
 
 def test_split_over_more_workers_than_cpus():
@@ -481,9 +497,9 @@ def test_split_over_more_workers_than_cpus():
 
 
 def test_split_stops_at_the_serial_witness():
-    # Every split point of a first-mode search that branches: the witness is
-    # the serial one, and so is the node count, whatever later subtrees the
-    # other workers searched.
+    # Every split point of a first-mode search that branches, pruned by the
+    # whole dihedral group: the witness is the serial one, and so is the
+    # node count, whatever later subtrees the other workers searched.
     q7 = build_graph(HYPERCUBE, 7)
     avoid = lambda w: has_circular_ones_run(w, 7)
     for seed in (0, 3, 11):
@@ -494,6 +510,25 @@ def test_split_stops_at_the_serial_witness():
                 split_after=0.0, workers=2, check_every=check_every,
             )
             assert _fingerprint(split) == _fingerprint(serial), (seed, check_every)
+
+
+@pytest.mark.parametrize("n, stride", [(12, 1), (13, 10)])
+def test_pruned_split_at_every_point_is_the_serial_run(n, stride):
+    # A split subtree starts from the group and depth of the frame it
+    # descends from, so the pruned tree is the same wherever the split
+    # falls; a last sibling that took the group of the frame below its own
+    # makes some split runs of Lucas n=12 differ from the serial one.  The
+    # seeded first-mode sweep above runs pruned too.
+    g = build_graph(LUCAS, n)
+    serial = forced_search(g, None, "prove_none", True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_symmetry_group", no_symmetry)
+        assert serial.nodes < forced_search(g, None, "prove_none", True).nodes
+    for check_every in range(1, serial.nodes, stride):
+        split = forced_search(
+            g, None, "prove_none", True, split_after=0.0, workers=2, check_every=check_every,
+        )
+        assert _fingerprint(split) == _fingerprint(serial), check_every
 
 
 def disjoint_k2_pieces(n_pieces):
@@ -573,22 +608,25 @@ def counted_forks(monkeypatch):
     return forks
 
 
-def test_split_uses_every_cpu_and_only_one_thread(counted_forks):
+def test_split_uses_every_cpu_and_only_one_thread(counted_forks, monkeypatch):
     g = build_graph(LUCAS, 12)
-    assert find_perfect_code(g, "prove_none").nodes == 303
-    assert len(counted_forks) == len(os.sched_getaffinity(0)) - 1
-    counted_forks.clear()
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert find_perfect_code(g, "prove_none").nodes == 303
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert find_perfect_code(g, "prove_none", node_budget=10**6).nodes == 303
-    assert counted_forks == []
+    for group, nodes in ((no_symmetry, 303), (codes._symmetry_group, 140)):
+        monkeypatch.setattr(codes, "_symmetry_group", group)
+        counted_forks.clear()
+        assert find_perfect_code(g, "prove_none").nodes == nodes
+        assert len(counted_forks) == len(os.sched_getaffinity(0)) - 1
+        counted_forks.clear()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert find_perfect_code(g, "prove_none").nodes == nodes
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert find_perfect_code(g, "prove_none", node_budget=10**6).nodes == nodes
+        assert counted_forks == []
 
 
 def test_deep_search_needs_no_recursion():
@@ -607,3 +645,155 @@ def test_deep_search_needs_no_recursion():
     for out in outs:
         assert out.status == "found" and out.nodes == 513
         assert len(out.witness) == 512 and is_perfect_code(g, out.witness)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry pruning: the group, and the pruned tree against the plain one
+# ---------------------------------------------------------------------------
+
+def dihedral_images(bits, n):
+    """The words of the rotations of an n-bit word and of their reversals."""
+    rotations = [str(circulation(BitWord(n, bits), i)) for i in range(1, n + 1)]
+    return {int(text, 2) for r in rotations for text in (r, r[::-1])}
+
+
+def group_maps(graph, group):
+    """Each group element as a dict from vertex word to image word."""
+    return [
+        {graph.vertices[x]: ((source[x] << k) | (source[x] >> m)) & ((1 << graph.n) - 1)
+         for x in range(len(graph))}
+        for source, k, m in group
+    ]
+
+
+def expected_group_size(graph, banned):
+    """Elements other than the identity of the group that the rotation and the
+    reversal generate, counting each only if it maps the vertex words and the
+    banned words onto themselves; for n >= 3."""
+    n = graph.n
+    vertices = set(graph.vertices)
+
+    def keeps(image):
+        return {image(w) for w in vertices} == vertices and {image(w) for w in banned} == banned
+
+    rotation = keeps(lambda w: int(str(circulation(BitWord(n, w), 2)), 2))
+    reversal = keeps(lambda w: int(str(BitWord(n, w))[::-1], 2))
+    return (n - 1) * rotation + (n if rotation else 1) * reversal
+
+
+def audit_pruning(patch):
+    """Check at each pruning branch point that every element of its group fixes the chosen blocks.
+
+    That is what makes a skipped candidate safe.  The pruning sees only the
+    blocks taken since the branch point above, so the test reads the frame
+    being pruned and all chosen blocks from the caller, _CoverSearch._group.
+    """
+    firsts = codes._Orbits.firsts
+
+    def audited(orbits, group, tries):
+        caller = sys._getframe(1).f_locals
+        chosen = caller["chosen"][:caller["f"][3]]
+        taken = {orbits.words[x] for x in chosen}
+        for source, k, m in group:
+            assert {((source[x] << k) | (source[x] >> m)) & orbits.full for x in chosen} == taken
+        return firsts(orbits, group, tries)
+
+    patch.setattr(codes._Orbits, "firsts", audited)
+
+
+def test_refute_ops_keep_status_and_never_search_more(monkeypatch):
+    # The prove-none ops of the refute benchmark workload, pruned and plain.
+    ops = [(LUCAS, n) for n in range(4, 16)] + [(FIBONACCI, n) for n in range(4, 15)]
+    graphs = {op: build_graph(*op) for op in ops}
+    audit_pruning(monkeypatch)
+    pruned = {op: find_perfect_code(g, "prove_none") for op, g in graphs.items()}
+    monkeypatch.setattr(codes, "_symmetry_group", no_symmetry)
+    for op, g in graphs.items():
+        plain = find_perfect_code(g, "prove_none")
+        assert pruned[op].status == plain.status == "exhausted", op
+        assert pruned[op].nodes <= plain.nodes, op
+
+
+@st.composite
+def symmetric_searches(draw):
+    """A cube graph, a banned set closed under rotation and reversal, a seed.
+
+    Lucas cubes up to n = 9 and hypercubes up to n = 7, where the DFS
+    oracle takes at most about 0.1 s, and the n = 7 graphs of the cyclic
+    and linear run families, which have few codes for their size.
+    """
+    family, n = draw(st.sampled_from(
+        [(LUCAS, n) for n in range(3, 10)] + [(HYPERCUBE, n) for n in range(3, 8)]
+        + [(make(s), 7) for make in (gen_lucas, gen_fibonacci) for s in range(3, 8)]
+    ))
+    graph = build_graph(family, n)
+    picks = draw(st.sets(st.sampled_from(graph.vertices), max_size=4))
+    banned = set()
+    for bits in picks:
+        banned |= dihedral_images(bits, n)
+    return graph, banned, draw(st.just(0) | st.integers(1, 10**6))
+
+
+@settings(max_examples=150)
+@given(case=symmetric_searches())
+@example(case=(build_graph(HYPERCUBE, 7), set(), 3))
+@example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 0))
+@example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 5))
+def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
+    graph, banned, seed = case
+    forbidden = lambda w: w.bits in banned
+    assert len(codes._symmetry_group(graph, banned)) == expected_group_size(graph, banned) > 0
+    exists = count_perfect_codes_dfs(graph, forbidden) > 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_symmetry_group", no_symmetry)
+        plain = {mode: search_constrained(graph, forbidden, mode, seed=seed) for mode in ("first", "prove_none")}
+    for mode in ("first", "prove_none"):
+        with pytest.MonkeyPatch.context() as patch:
+            audit_pruning(patch)
+            pruned = search_constrained(graph, forbidden, mode, seed=seed)
+        assert pruned.status == ("found" if exists else "exhausted")
+        assert _verdict(pruned) == _verdict(plain[mode])
+        assert pruned.nodes <= plain[mode].nodes
+
+
+def test_group_of_each_family():
+    # The dihedral group of order 2n where runs are cyclic, the reversal
+    # alone where they are linear; each element maps the vertex words onto
+    # themselves.
+    for family, n, size in (
+        (LUCAS, 9, 17), (gen_lucas(3), 8, 15), (HYPERCUBE, 6, 11),
+        (FIBONACCI, 9, 1), (gen_fibonacci(3), 8, 1), (LUCAS, 2, 0), (HYPERCUBE, 1, 0),
+    ):
+        g = build_graph(family, n)
+        group = codes._symmetry_group(g, set())
+        assert len(group) == size, (family, n)
+        maps = group_maps(g, group)
+        assert all(set(image.values()) == set(g.vertices) for image in maps)
+        assert all(any(w != v for w, v in image.items()) for image in maps)
+        assert len({tuple(sorted(image.items())) for image in maps}) == size
+    fib = build_graph(FIBONACCI, 9)
+    [reversal] = group_maps(fib, codes._symmetry_group(fib, set()))
+    assert all(image == int(str(BitWord(9, w))[::-1], 2) for w, image in reversal.items())
+
+
+def test_group_drops_the_rotation_a_banned_set_breaks():
+    g = build_graph(LUCAS, 8)
+    banned = {0b00000001, 0b10000000}  # closed under reversal, not rotation
+    [reversal] = group_maps(g, codes._symmetry_group(g, banned))
+    assert reversal[0b00000001] == 0b10000000
+    assert codes._symmetry_group(g, {0b00000001}) == []
+    assert len(codes._symmetry_group(g, dihedral_images(0b00000101, 8))) == 15
+
+
+@settings(max_examples=200)
+@given(graph=induced_graphs(max_words=64), banned=st.sets(st.integers(0, 63), max_size=6))
+def test_group_keeps_only_generators_that_map_the_search_onto_itself(graph, banned):
+    banned = {w for w in banned if w in graph.index}
+    group = codes._symmetry_group(graph, banned)
+    if graph.n < 3:
+        assert group == []
+        return
+    assert len(group) == expected_group_size(graph, banned)
+    for image in group_maps(graph, group):
+        assert set(image.values()) == set(graph.vertices)
+        assert {image[w] for w in banned} == banned
