@@ -4,7 +4,10 @@ Vertices are family members at a fixed length, stored ascending; the dense
 vertex id of a word is its rank in that order, which is stable across runs.
 Vertex sets are bitmaps over dense ids, packed into a single integer.
 Neighbors are probed on demand: the n one-bit flips of a word are looked up
-in the word index, and nothing is stored per vertex.
+in the word index, and nothing is stored per vertex.  Connectivity is the
+one question answered without probing: it floods a 2^n-bit bitmap over the
+word space one coordinate at a time, in O(sweeps · n · 2^n / 64) word
+operations, where the sweep count is at most the diameter + 1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from .limits import check_cap, graph_cap
-from .words import BitWord, Family, iter_family_bits
+from .words import BitWord, Family, check_length, iter_family_bits
 
 
 def hamming_distance(x: BitWord, y: BitWord) -> int:
@@ -33,6 +36,7 @@ class InducedGraph:
     """
 
     def __init__(self, n: int, vertices: list[int], family: Family | None = None):
+        check_length(n)
         if any(not 0 <= bits < (1 << n) for bits in vertices):
             raise ValueError(f"vertex words must fit in {n} bits")
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
@@ -111,23 +115,46 @@ class InducedGraph:
         return None
 
     def is_connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 0; O(V·n) index probes."""
-        total = len(self.vertices)
-        if not total:
+        """Whether every vertex is reachable from vertex 0.
+
+        The reached words are a 2^n-bit bitmap over the word space, so no
+        vertex is probed: for each coordinate b, a shift up by 2^b sets bit
+        b of every reached word where it is clear, a shift down clears it
+        where it is set, and the result is kept to the vertex words.  Whole
+        sweeps over b = 0..n-1 repeat until one adds nothing, at
+        O(n · 2^n / 64) word operations each.  Each sweep extends the
+        reached set by at least one BFS layer, so there are at most
+        diameter + 1 sweeps; a family closed under clearing a bit is
+        reached from 0^n in one sweep, which sets each member's bits in
+        ascending order, and confirmed by a second.  The bitmap is held to
+        the enumeration cap, as the scan of build_graph is.
+        """
+        n, vertices = self.n, self.vertices
+        if not vertices:
             return True
-        # A byte per vertex, not an integer bitmap: testing or setting one
-        # bit of a V-bit int costs O(V/64).
-        seen = bytearray(total)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            for j in self.neighbor_ids(stack.pop()):
-                if not seen[j]:
-                    seen[j] = 1
-                    count += 1
-                    stack.append(j)
-        return count == total
+        size = 1 << n
+        check_cap("enum_cap", size, f"the connectivity bitmap at n={n} of 2^{n} bits")
+        # A byte per word, read as a binary numeral: setting one bit of an
+        # int costs O(2^n / 64), and or-ing bits into packed bytes is slower.
+        flags = bytearray(size)
+        for bits in vertices:
+            flags[bits] = 1
+        words = int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+        low = []  # low[b]: the words whose bit b is clear
+        for b in range(n):
+            clear, period = (1 << (1 << b)) - 1, 2 << b
+            while period < size:
+                clear |= clear << period
+                period <<= 1
+            low.append(clear)
+        reached = 1 << vertices[0]
+        while True:
+            before = reached
+            for b, clear in enumerate(low):
+                step = 1 << b
+                reached |= (((reached & clear) << step) | ((reached >> step) & clear)) & words
+            if reached == before:
+                return reached == words
 
     def level_degree_profile(
         self,

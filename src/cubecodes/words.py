@@ -206,7 +206,8 @@ def is_member(family: Family, w: BitWord) -> bool:
 # Enumeration and counting
 # ---------------------------------------------------------------------------
 
-def _check_length(n: int):
+def check_length(n: int):
+    """Refuse a word length outside 0..MAX_LENGTH."""
     if not 0 <= n <= MAX_LENGTH:
         raise ValueError(f"length must be in 0..{MAX_LENGTH}, got {n}")
 
@@ -217,7 +218,7 @@ def iter_family_bits(family: Family, n: int) -> Iterator[int]:
     The scan covers all 2^n candidates; a scan larger than the enumeration
     cap is rejected up front.
     """
-    _check_length(n)
+    check_length(n)
     check_cap("enum_cap", 1 << n, f"enumeration at n={n} of 2^{n} words")
     if family.kind == KIND_HYPERCUBE:
         yield from range(1 << n)
@@ -248,7 +249,7 @@ def count_weight_level(family: Family, n: int, k: int, leading_one: bool = False
     leading_one flag restricting to words starting with 1); the generalized
     kinds are counted by enumeration.
     """
-    _check_length(n)
+    check_length(n)
     if not 0 <= k <= n:
         raise ValueError(f"weight {k} out of range 0..{n}")
     kind = family.kind

@@ -17,6 +17,7 @@ from cubecodes import (
     closed_neighborhood,
     gen_lucas,
     hamming_distance,
+    parse_family,
 )
 from cubecodes import graphs
 from cubecodes.graphs import InducedGraph
@@ -209,8 +210,10 @@ def test_vertex_set_contains_ids():
         (lambda: InducedGraph(3, [8]), "must fit in 3 bits"),
         (lambda: InducedGraph(3, [2, 1]), "strictly ascending"),
         (lambda: build_graph(LUCAS, 3).id_of(W("00")), "does not match graph length 3"),
+        (lambda: InducedGraph(70, [1 << 65]), "length must be in 0..62"),
+        (lambda: InducedGraph(-2, []), "length must be in 0..62"),
     ],
-    ids=["word-too-wide", "descending", "short-word"],
+    ids=["word-too-wide", "descending", "short-word", "length-too-long", "negative-length"],
 )
 def test_malformed_graph_input_rejected(make, message):
     with pytest.raises(ValueError, match=message):
@@ -274,25 +277,60 @@ def _reference_connected(n: int, words: list[int]) -> bool:
 
 
 @st.composite
-def cube_subsets(draw):
-    """A word length n <= 7 and a set of words, drawn directly or as a complement."""
-    n = draw(st.integers(0, 7))
+def cube_subsets(draw, max_n=7):
+    """A word length n <= max_n and a set of words, drawn directly or as a complement."""
+    n = draw(st.integers(0, max_n))
     drawn = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=24))
     if draw(st.booleans()):
         drawn = set(range(1 << n)) - drawn
     return n, sorted(drawn)
 
 
-@given(case=cube_subsets())
+# 0, then 10^9, 110^8, ..., 1^10: bits set in descending order, one per sweep
+DESCENDING_PATH = (10, [((1 << k) - 1) << (10 - k) for k in range(11)])
+
+
+@given(case=cube_subsets(max_n=12))
 @example(case=(3, []))
 @example(case=(0, [0]))
 @example(case=(3, [5]))
 @example(case=(3, [0b000, 0b011]))
 @example(case=(4, [0b0000, 0b0001, 0b1110, 0b1111]))
 @example(case=(7, list(range(1 << 7))))
+@example(case=(3, [0b011, 0b100]))  # 011 + 1 carries into 100: not an edge
+@example(case=(3, [0b000, 0b011, 0b100]))  # 100 - 1 borrows from 011: not an edge
+@example(case=DESCENDING_PATH)
+@example(case=(10, DESCENDING_PATH[1][:6] + DESCENDING_PATH[1][7:]))  # the path cut
+# smallest word not 0^n, joined and cut
+@example(case=(6, [0b000011, 0b000111, 0b001111, 0b101111]))
+@example(case=(6, [0b000011, 0b000111, 0b101111]))
+# two components at distance 2: the subsets of {0, 1}, and those with bits 7, 8 added
+@example(case=(9, [0, 1, 2, 3, 384, 385, 386, 387]))
+@example(case=(12, sorted(set(range(1 << 12)) - {0, 5, 1 << 11, 4095})))
+@example(case=(12, sorted(set(range(1 << 12)) - {1 << b for b in range(12)})))  # 0^n cut off
 def test_is_connected_matches_reference_bfs(case):
     n, words = case
     assert InducedGraph(n, words).is_connected() == _reference_connected(n, words)
+
+
+@pytest.mark.parametrize("kind", ["qn", "fib", "lucas", "fib1s", "lucas1s"])
+def test_is_connected_matches_reference_bfs_on_families(kind):
+    for n in range(13):
+        plain = kind in ("qn", "fib", "lucas")
+        specs = [kind] if plain else [f"{kind}:{s}" for s in range(1, n + 1)]
+        for spec in specs:
+            g = build_graph(parse_family(spec), n)
+            assert g.is_connected() == _reference_connected(n, g.vertices), (spec, n)
+
+
+def test_is_connected_holds_the_bitmap_to_the_enumeration_cap(monkeypatch):
+    graph = InducedGraph(7, [0, 1, 3])
+    monkeypatch.setenv("CUBECODES_ENUM_CAP", "100")
+    with pytest.raises(ResourceLimitError, match="CUBECODES_ENUM_CAP") as err:
+        graph.is_connected()
+    assert err.value.cap_name == "enum_cap"
+    monkeypatch.setenv("CUBECODES_ENUM_CAP", "128")
+    assert graph.is_connected()
 
 
 @given(case=cube_subsets())

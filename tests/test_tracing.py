@@ -2,7 +2,8 @@
 
 The tracer patches functions and methods by name; a renamed one makes
 install() fail, or leaves its layer unmeasured, so this checks both on a
-small search and a small verify.
+small search, a small verify and a small construction with its
+connectivity checks.
 """
 
 import importlib.util
@@ -25,6 +26,7 @@ def load_tracing(monkeypatch):
 def test_tracer_measures_search_and_verify(capsys, monkeypatch):
     tracing = load_tracing(monkeypatch)
     search, closed_mask = codes.search_constrained, graphs.InducedGraph.closed_mask
+    is_connected = graphs.InducedGraph.is_connected
     tracer = tracing.Tracer(
         dict(words=words, graphs=graphs, codes=codes, hamming=hamming, claims=claims, cli=cli)
     )
@@ -35,6 +37,8 @@ def test_tracer_measures_search_and_verify(capsys, monkeypatch):
         searched = tracer.pass_totals()
         assert tracer.op(cli.main, ["verify", "--claim", "thm-main", "--n-max", "6"]) == 0
         verified = tracer.pass_totals()
+        assert tracer.op(cli.main, ["verify", "--claim", "prop-1n", "--p-set", "2,3"]) == 0
+        constructed = tracer.pass_totals()
     finally:
         tracer.restore()
     capsys.readouterr()
@@ -44,3 +48,6 @@ def test_tracer_measures_search_and_verify(capsys, monkeypatch):
     assert verified["codes.validate_calls"] == 4  # the witnesses for n = 0..3
     assert cli.search_constrained is codes.search_constrained is search
     assert graphs.InducedGraph.closed_mask is closed_mask
+    assert {op for name, *_, op in tracer.spans if name == "graphs.connect"} == {2}
+    assert constructed["graphs.connect_s"] > 0 and constructed["graphs.build_s"] > 0
+    assert graphs.InducedGraph.is_connected is is_connected
