@@ -50,6 +50,16 @@ def _int_list_arg(text: str) -> list[int]:
     return values
 
 
+def _run_length_arg(text: str) -> int:
+    try:
+        s = int(text)
+    except ValueError:
+        s = 0
+    if s < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive run length, got {text!r}")
+    return s
+
+
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--avoid-circular-run",
-        type=int,
+        type=_run_length_arg,
         metavar="S",
         default=None,
         help="restrict codewords to words with no cyclic run of S ones",

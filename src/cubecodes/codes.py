@@ -26,25 +26,24 @@ and witnesses, and the counted state searches fewer nodes.
 In first and prove_none mode the search skips subtrees that a symmetry maps
 onto a sibling already searched.  G is the group generated by the rotation
 of the n coordinates and their reversal, each kept only if it maps the
-vertex set and the set of allowed blocks onto themselves; it is checked in
-O(V) per generator when the search first backtracks, and dropped if it
-fails.  A coordinate permutation moves no Hamming distance, so every
+vertex set and the set of allowed blocks onto themselves; it is built once
+per search, checking each generator in O(V), and a generator that fails is
+dropped.  A coordinate permutation moves no Hamming distance, so every
 element of G is an automorphism of the graph that maps allowed blocks to
 allowed blocks.  For lucas, lucas1s:s, and qn (also with a rotation- and
 reversal-invariant forbidden set, such as a cyclic run) G is the dihedral
 group of order 2n; for fib and fib1s:s (s < n), whose runs are linear, the
 reversal alone.  Each branch point carries a group H of elements that map
-the blocks chosen above it onto themselves: at the root G, below that the H
-of the branch point above, cut down to the elements that map the blocks
-taken since onto themselves.  If g in H maps candidate c to a later
-candidate c', then g maps the codes that contain the chosen blocks and c
-onto those that contain them and c', so the subtree of c' holds a code iff
-that of c does; and the search went through c's subtree without finding
-one, or it would have stopped.  So a branch point tries only the first
-candidate of each H-orbit, in candidate order; its H and that cut are
-worked out when the search first comes back to it, so a search that never
-backtracks builds no group.  This only removes subtrees: the MRV choices,
-the candidate order, statuses and first-mode witnesses, seeded or not, are
+the blocks chosen above it onto themselves: the elements of the H of the
+branch point above (G for the first one) that map the blocks taken since
+onto themselves.  If g in H maps candidate c to a later candidate c', then
+g maps the codes that contain the chosen blocks and c onto those that
+contain them and c', so the subtree of c' holds a code iff that of c does;
+and the search went through c's subtree without finding one, or it would
+have stopped.  So a branch point tries only the first candidate of each
+H-orbit, in candidate order; its H and that cut are worked out when the
+search pushes it.  This only removes subtrees: the MRV choices, the
+candidate order, statuses and first-mode witnesses, seeded or not, are
 those of the plain tree, and nodes, which counts the pruned tree, can only
 fall.  H depends only on the path to a node, so a split leaves the tree as
 it is.  enumerate searches the plain tree: counting codes this way would
@@ -432,22 +431,17 @@ def _symmetry_group(graph: InducedGraph, banned: set[int]) -> list[tuple[list[in
 
 
 class _Orbits:
-    """The group of one search and the two steps of the pruning.
+    """The group G of one search and the two steps of the pruning.
 
     A group is a list of elements as _symmetry_group returns them.
     """
 
-    __slots__ = ("graph", "banned", "words", "full")
+    __slots__ = ("group", "words", "full")
 
     def __init__(self, graph: InducedGraph, banned: set[int]):
-        self.graph = graph
-        self.banned = banned
+        self.group = _symmetry_group(graph, banned)
         self.words = graph.vertices
         self.full = (1 << graph.n) - 1
-
-    def group(self) -> list:
-        """The whole group G, which the search builds only once it first backtracks."""
-        return _symmetry_group(self.graph, self.banned)
 
     def stabilizer(self, group: list, blocks: list[int]) -> list:
         """The elements of group that map the blocks onto themselves."""
@@ -480,16 +474,6 @@ class _Orbits:
         return firsts
 
 
-def _origin(group: list | None, depth: int) -> list:
-    """A frame for the branch point above the first node of a run.
-
-    It has no candidates; group is its H (None for the root of a search
-    that prunes, whose H is the whole group G) and depth the len(chosen)
-    there.
-    """
-    return [None, (), 0, depth, group, None]
-
-
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
@@ -505,10 +489,10 @@ class _CoverSearch:
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
         self.witness: tuple[int, ...] | None = None
         # After a split: (base state, block to take or None, blocks chosen
-        # above, group and depth of the frame the subtree descends from).
+        # above, origin of the subtree's first node).
         self.subtrees: list[tuple] = []
 
-    def run(self, state, chosen: list[int], origin: list) -> str | None:
+    def run(self, state, chosen: list[int], origin: tuple[list, int]) -> str | None:
         """Search below state; STATUS_FOUND, STATUS_BUDGET or _SPLIT, or None once complete.
 
         chosen holds the blocks taken above state, and grows as the search
@@ -519,15 +503,21 @@ class _CoverSearch:
         read, every CHECK_EVERY nodes, past split_at, the run keeps its open
         subtrees and stops.
 
-        A frame is [state, candidates, next index, len(chosen), group,
-        origin]: origin is the frame its node descends from (at first the
-        given one), and group its symmetry group H, or None until _group
-        works it out, when the search first comes back to the frame.  A
-        frame below a trivial group has the trivial group.
+        A frame is [state, candidates, next index, len(chosen), group].  A
+        node's origin is the (group, len(chosen)) of the frame it descends
+        from, at first the given one.  When a frame is pushed, chosen holds
+        exactly the blocks above it, so its group H is the origin's group
+        cut down to the elements that map chosen[depth:] onto themselves,
+        and its candidates are cut to the first of each H-orbit.  A frame
+        the cut leaves one candidate is still pushed, not made a forced
+        move: that would merge two segments of chosen into one, whose
+        stabilizer can be larger than the chain of the two, and so change
+        the H of the frames below it.
         """
         node_budget = self.node_budget
         deadline = self.deadline
         split_at = self.split_at
+        orbits = self.orbits
         check_every = CHECK_EVERY
         nodes = self.nodes
         next_check = nodes + check_every
@@ -554,30 +544,29 @@ class _CoverSearch:
                 else:
                     cands = state.select()
                     if cands & (cands - 1):
-                        group = [] if origin[4] == [] else None
-                        stack.append([state, self._ordered(cands), 0, len(chosen), group, origin])
+                        tries = self._ordered(cands)
+                        group, depth = origin
+                        if group:
+                            group = orbits.stabilizer(group, chosen[depth:])
+                            if group:
+                                tries = orbits.firsts(group, tries)
+                        stack.append([state, tries, 0, len(chosen), group])
                     elif cands:
                         v = cands.bit_length() - 1
                         state.take(v)
                         chosen.append(v)
                         continue
-                while True:
-                    if not stack:
-                        return None
-                    frame = stack[-1]
-                    if frame[2] and frame[4] is None:
-                        self._group(frame, chosen)
-                    if frame[2] < len(frame[1]):
-                        break
-                    stack.pop()  # the pruning left no untried candidate
-                base, tries, i, depth, _, _ = frame
+                if not stack:
+                    return None
+                frame = stack[-1]
+                base, tries, i, depth, group = frame
                 if i + 1 < len(tries):
                     frame[2] = i + 1
                     state = base.copy()
                 else:
                     stack.pop()
                     state = base
-                origin = frame
+                origin = group, depth
                 del chosen[depth:]
                 v = tries[i]
                 state.take(v)
@@ -588,55 +577,26 @@ class _CoverSearch:
     def _split(self, state, chosen, stack, origin) -> bool:
         """Keep the open subtrees in DFS order, if there are 2 to _MAX_SUBTREES.
 
-        The node about to be searched comes first, then, for each frame from
-        the top of the stack down, its untried candidates tries[i:]; each
-        goes with the group and depth of the frame it descends from.  The
-        frames are all above the node, so working out the group of its
-        origin works out theirs too, which cuts their candidates as the
-        serial loop would.
+        The node about to be searched comes first, with its origin, then,
+        for each frame from the top of the stack down, its untried
+        candidates tries[i:], each with the frame's group and depth as its
+        origin.
         """
-        group = self._group(origin, chosen)
-        if not 2 <= 1 + sum(len(tries) - i for _, tries, i, _, _, _ in stack) <= _MAX_SUBTREES:
+        if not 2 <= 1 + sum(len(tries) - i for _, tries, i, _, _ in stack) <= _MAX_SUBTREES:
             return False
-        subtrees = [(state, None, tuple(chosen), group, origin[3])]
-        for base, tries, i, depth, frame_group, _ in reversed(stack):
+        subtrees = [(state, None, tuple(chosen), origin)]
+        for base, tries, i, depth, group in reversed(stack):
             above = tuple(chosen[:depth])
-            subtrees.extend((base, v, above, frame_group, depth) for v in tries[i:])
+            subtrees.extend((base, v, above, (group, depth)) for v in tries[i:])
         self.subtrees = subtrees
         return True
-
-    def _group(self, frame: list, chosen: list[int]) -> list:
-        """The group H of a frame, worked out on first use with those above it.
-
-        A frame's H is the H of its origin cut down to the elements that
-        map the blocks taken since the origin onto themselves; working it
-        out also cuts the frame's candidates to the first of each orbit of
-        H.  Only a frame whose first child is being searched can lack its H,
-        so no candidate but the first, which stays, has been tried.  chosen
-        holds the blocks above the frame.
-        """
-        orbits = self.orbits
-        pending = []
-        while frame[4] is None and frame[5] is not None:
-            pending.append(frame)
-            frame = frame[5]
-        group = frame[4]
-        if group is None:  # the root: the whole group G
-            group = frame[4] = orbits.group()
-        for f in reversed(pending):
-            if group:
-                group = orbits.stabilizer(group, chosen[f[5][3]:f[3]])
-                if group:
-                    f[1] = orbits.firsts(group, f[1])
-            f[4] = group
-        return group
 
     def run_subtree(self, i: int) -> tuple:
         """Search open subtree i to its end: (status, nodes, count, solutions, witness).
 
         The subtree's state is built here, by the process that claimed it.
         """
-        base, v, above, group, depth = self.subtrees[i]
+        base, v, above, origin = self.subtrees[i]
         chosen = list(above)
         if v is None:
             state = base
@@ -648,7 +608,7 @@ class _CoverSearch:
             self.order, None, self.deadline, self.stop_at_first, self.solutions is not None,
             orbits=self.orbits,
         )
-        status = sub.run(state, chosen, _origin(group, depth))
+        status = sub.run(state, chosen, origin)
         return status, sub.nodes, sub.count, sub.solutions, sub.witness
 
     def merge(self, results: dict[int, tuple]) -> str | None:
@@ -844,12 +804,12 @@ def search_constrained(
                 banned.add(w.bits)
             else:
                 allowed |= 1 << i
-    # enumerate counts every code, so it searches the plain tree
-    orbits = _Orbits(graph, banned) if mode != MODE_ENUMERATE else None
 
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
     split_at = started + SPLIT_AFTER_S if workers > 1 else None
+    # enumerate counts every code, so it searches the plain tree
+    orbits = _Orbits(graph, banned) if mode != MODE_ENUMERATE else None
     if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
     else:
@@ -863,7 +823,7 @@ def search_constrained(
         split_at,
         orbits,
     )
-    status = search.run(root, [], _origin(None if orbits else [], 0))
+    status = search.run(root, [], (orbits.group if orbits else [], 0))
     if status == _SPLIT:
         status = _run_split(search, workers)
     if status is None:
@@ -891,14 +851,18 @@ def find_perfect_code(graph: InducedGraph, mode: str = MODE_FIRST, **kwargs) -> 
 # Independent oracles (used to cross-check the engine, never by it)
 # ---------------------------------------------------------------------------
 
-def enumerate_perfect_codes_naive(graph: InducedGraph, limit: int = 24) -> int:
-    """Count perfect codes by scanning all 2^|V| vertex subsets."""
+# The most vertices the naive scan takes: it scans 2^|V| subsets.
+NAIVE_SUBSET_LIMIT = 24
+
+
+def enumerate_perfect_codes_naive(graph: InducedGraph) -> int:
+    """Count perfect codes by scanning all 2^|V| vertex subsets, up to NAIVE_SUBSET_LIMIT vertices."""
     n_vertices = len(graph)
-    if n_vertices > limit:
+    if n_vertices > NAIVE_SUBSET_LIMIT:
         raise ResourceLimitError(
-            f"naive scan over 2^{n_vertices} subsets refused (limit 2^{limit})",
+            f"naive scan over 2^{n_vertices} subsets refused (limit 2^{NAIVE_SUBSET_LIMIT})",
             "naive_subset_limit",
-            limit,
+            NAIVE_SUBSET_LIMIT,
         )
     masks = [graph.closed_mask(i) for i in range(n_vertices)]
     full = (1 << n_vertices) - 1

@@ -112,6 +112,20 @@ def test_malformed_budget_is_usage_error(capsys, command, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_malformed_run_length_is_usage_error(capsys, value):
+    # Refused by the parser, before any graph is built; a run longer than
+    # the words forbids nothing, and stays valid.
+    argv = ["search", "--family", "qn", "--n", "3", "--avoid-circular-run"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [value])
+    assert exit_info.value.code == 2
+    assert "--avoid-circular-run" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *argv, "4")
+    assert code == 0
+    assert json.loads(out)["status"] == "found"
+
+
 # Text left in stdout's buffer before the search, then the search split over
 # two processes at its first clock read; the forks are counted on stderr.
 _FORK_HYGIENE = """

@@ -629,6 +629,33 @@ def test_split_uses_every_cpu_and_only_one_thread(counted_forks, monkeypatch):
         assert counted_forks == []
 
 
+def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
+    # Split workers reuse the parent's group through run_subtree; the counter
+    # sees only this process's builds.  enumerate searches the plain tree and
+    # builds none, and a first-mode search that never backtracks builds one.
+    builds = []
+    symmetry_group = codes._symmetry_group
+
+    def counted_group(graph, banned):
+        builds.append(1)
+        return symmetry_group(graph, banned)
+
+    monkeypatch.setattr(codes, "_symmetry_group", counted_group)
+    g = build_graph(LUCAS, 12)
+    for mode in ("first", "prove_none"):
+        # split at the first clock read, then serial under a node budget
+        for node_budget, forks in ((None, len(os.sched_getaffinity(0)) - 1), (10**6, 0)):
+            builds.clear()
+            counted_forks.clear()
+            assert find_perfect_code(g, mode, node_budget=node_budget).nodes == 140
+            assert (len(builds), len(counted_forks)) == (1, forks), (mode, node_budget)
+    builds.clear()
+    assert find_perfect_code(g, "enumerate").count == 0
+    assert builds == []
+    out = find_perfect_code(disjoint_k2_pieces(8), "first")
+    assert (out.status, out.nodes, len(builds)) == ("found", 9, 1)
+
+
 def test_deep_search_needs_no_recursion():
     # 512 disjoint K2 pieces {x0, x1} with x of even weight: no edges run
     # between pieces, so first mode branches once per piece, 512 deep.
@@ -685,14 +712,14 @@ def audit_pruning(patch):
     """Check at each pruning branch point that every element of its group fixes the chosen blocks.
 
     That is what makes a skipped candidate safe.  The pruning sees only the
-    blocks taken since the branch point above, so the test reads the frame
-    being pruned and all chosen blocks from the caller, _CoverSearch._group.
+    blocks taken since the branch point above, so the test reads all chosen
+    blocks from the caller, _CoverSearch.run, where they are exactly the
+    blocks above the frame being pushed.
     """
     firsts = codes._Orbits.firsts
 
     def audited(orbits, group, tries):
-        caller = sys._getframe(1).f_locals
-        chosen = caller["chosen"][:caller["f"][3]]
+        chosen = sys._getframe(1).f_locals["chosen"]
         taken = {orbits.words[x] for x in chosen}
         for source, k, m in group:
             assert {((source[x] << k) | (source[x] >> m)) & orbits.full for x in chosen} == taken
