@@ -375,15 +375,15 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
                 )
                 _require(is_perfect_code(graph, code), p=p, s_kind=s_kind, stage="perfect")
                 # Decoding any vertex of the graph lands inside the graph.
+                decode_bits, index = hamming.decode_bits, graph.index
                 for bits in graph.vertices:
-                    word = BitWord(n, bits)
-                    if hamming.decode(word).bits not in graph.index:
+                    if decode_bits(bits) not in index:
                         raise _Stop(
                             VERDICT_FAIL,
                             p=p,
                             s_kind=s_kind,
                             stage="decode closure",
-                            vertex=str(word),
+                            vertex=str(BitWord(n, bits)),
                         )
                 orders[f"p{p},{s_kind}"] = _orders_record(code)
         return {"orders": orders}

@@ -94,35 +94,42 @@ def _as_code(graph: InducedGraph, code) -> VertexSet:
     return VertexSet.from_words(graph, code)
 
 
-def _disjoint_cover(graph: InducedGraph, code) -> int | None:
-    """Union of the members' closed neighborhoods, or None if two of them meet."""
+def _cover_counts(graph: InducedGraph, code) -> bytearray:
+    """Entry j: how many members' closed neighborhoods hold vertex j.
+
+    A count is at most n + 1 <= 63, so a byte holds it.
+    """
     code = _as_code(graph, code)
-    cover = 0
+    counts = bytearray(len(graph))
     for i in code.ids():
-        nb = graph.closed_mask(i)
-        if cover & nb:
-            return None
-        cover |= nb
-    return cover
+        counts[i] += 1
+        for j in graph.neighbor_ids(i):
+            counts[j] += 1
+    return counts
 
 
 def is_code(graph: InducedGraph, code) -> bool:
-    """True iff the members' closed neighborhoods are pairwise disjoint."""
-    return _disjoint_cover(graph, code) is not None
+    """True iff the members' closed neighborhoods are pairwise disjoint.
+
+    That is, no vertex is covered more than once.
+    """
+    return max(_cover_counts(graph, code), default=0) <= 1
 
 
 def is_dominating(graph: InducedGraph, code) -> bool:
-    """True iff every vertex lies in some member's closed neighborhood."""
-    code = _as_code(graph, code)
-    cover = 0
-    for i in code.ids():
-        cover |= graph.closed_mask(i)
-    return cover == (1 << len(graph)) - 1
+    """True iff every vertex lies in some member's closed neighborhood.
+
+    That is, no vertex is covered 0 times.
+    """
+    return 0 not in _cover_counts(graph, code)
 
 
 def is_perfect_code(graph: InducedGraph, code) -> bool:
-    """True iff the closed neighborhoods of the members partition V(G)."""
-    return _disjoint_cover(graph, code) == (1 << len(graph)) - 1
+    """True iff the closed neighborhoods of the members partition V(G).
+
+    That is, every vertex is covered exactly once.
+    """
+    return _cover_counts(graph, code).count(1) == len(graph)
 
 
 @dataclass

@@ -37,10 +37,11 @@ class InducedGraph:
 
     def __init__(self, n: int, vertices: list[int], family: Family | None = None):
         check_length(n)
-        if any(not 0 <= bits < (1 << n) for bits in vertices):
-            raise ValueError(f"vertex words must fit in {n} bits")
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
             raise ValueError("vertices must be strictly ascending")
+        # Ascending, so the two ends bound every word.
+        if vertices and not (vertices[0] >= 0 and vertices[-1] < 1 << n):
+            raise ValueError(f"vertex words must fit in {n} bits")
         self.n = n
         self.family = family
         self.vertices = vertices
@@ -250,13 +251,8 @@ class VertexSet:
         return cls(graph, mask)
 
     def ids(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        """Member ids, ascending, read from the binary numeral of the mask in one pass."""
+        return [i for i, c in enumerate(bin(self.mask)[:1:-1]) if c == "1"]
 
     def words(self) -> list[BitWord]:
         return [self.graph.word(i) for i in self.ids()]

@@ -4,7 +4,9 @@ The parity-check matrix H has p rows and n = 2^p - 1 columns, column j
 being the p-bit binary representation of j.  A word is a codeword iff its
 syndrome (the XOR of the indices of its one-positions) is zero, and the
 nonzero syndrome of a non-codeword names the unique position to flip, so
-decoding to the nearest codeword is a single syndrome computation.
+decoding to the nearest codeword is one syndrome and one bit flip.  The
+syndrome is XOR-linear in the word, so it is read from one 256-entry table
+per 8-bit chunk of the packed word: ceil(n/8) lookups, at most four.
 """
 
 from __future__ import annotations
@@ -31,13 +33,23 @@ class HammingCode:
 
     p: int
     n: int = field(init=False)
-    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.p <= 5:
             raise ValueError(f"p must be in 2..5, got {self.p}")
-        object.__setattr__(self, "n", (1 << self.p) - 1)
-        object.__setattr__(self, "_rows", tuple(self.parity_check_rows()))
+        n = (1 << self.p) - 1
+        object.__setattr__(self, "n", n)
+        # tables[c][b]: the XOR of the positions of the ones of byte b placed
+        # at bits 8c..8c+7; a bit at or above n holds no position and adds 0.
+        tables = []
+        for shift in range(0, n, 8):
+            table = [0] * 256
+            for b in range(1, 256):
+                k = shift + (b & -b).bit_length() - 1
+                table[b] = table[b & (b - 1)] ^ (n - k if k < n else 0)
+            tables.append(tuple(table))
+        object.__setattr__(self, "_tables", tuple(tables))
 
     def size(self) -> int:
         return 1 << (self.n - self.p)
@@ -45,11 +57,13 @@ class HammingCode:
     def syndrome_bits(self, bits: int) -> int:
         """XOR of the positions (1-based from the left) holding a 1.
 
-        Bit i of that XOR is the parity of the ones under row i of H.
+        Bit i of that XOR is the parity of the ones under row i of H.  It
+        is the XOR of one table entry per 8-bit chunk of the word.
         """
         syn = 0
-        for i, row in enumerate(self._rows):
-            syn |= ((bits & row).bit_count() & 1) << i
+        for table in self._tables:
+            syn ^= table[bits & 0xFF]
+            bits >>= 8
         return syn
 
     def _check_length(self, w: BitWord):
@@ -60,13 +74,15 @@ class HammingCode:
         self._check_length(w)
         return self.syndrome_bits(w.bits) == 0
 
+    def decode_bits(self, bits: int) -> int:
+        """The packed codeword at Hamming distance <= 1 from a packed n-bit word."""
+        syn = self.syndrome_bits(bits)
+        return bits ^ (1 << (self.n - syn)) if syn else bits
+
     def decode(self, w: BitWord) -> BitWord:
         """The unique codeword at Hamming distance <= 1 from the word."""
         self._check_length(w)
-        syn = self.syndrome_bits(w.bits)
-        if syn == 0:
-            return w
-        return BitWord(self.n, w.bits ^ (1 << (self.n - syn)))
+        return BitWord(self.n, self.decode_bits(w.bits))
 
     def codeword_bits(self) -> list[int]:
         """All codewords as packed integers, ascending."""

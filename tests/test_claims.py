@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecodes import CLAIM_IDS, LUCAS, BitWord, claims, run_all, run_claim
+from cubecodes import CLAIM_IDS, LUCAS, claims, run_all, run_claim
 from cubecodes.claims import (
     check_cover_count_arithmetic,
     check_fibonacci_nonexistence,
@@ -148,9 +148,7 @@ def test_constructions_small():
 
 def test_decode_closure_failure_names_the_vertex(monkeypatch):
     # a decoder that leaves the graph: 1^n is never a vertex of the punctured graphs
-    monkeypatch.setattr(
-        HammingCode, "decode", lambda self, w: BitWord(w.length, (1 << w.length) - 1)
-    )
+    monkeypatch.setattr(HammingCode, "decode_bits", lambda self, bits: (1 << self.n) - 1)
     report = check_punctured_constructions(p_set=(2,))
     assert report.verdict == "fail"
     assert report.evidence == {

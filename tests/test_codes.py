@@ -19,6 +19,7 @@ from cubecodes import (
     VertexSet,
     build_graph,
     circulation,
+    construct_gen_lucas_code,
     count_perfect_codes_dfs,
     enumerate_perfect_codes_naive,
     find_perfect_code,
@@ -89,6 +90,23 @@ def test_is_perfect_code_examples():
         assert not is_perfect_code(g4, [w])
     g0 = build_graph(LUCAS, 0)
     assert is_perfect_code(g0, [BitWord(0, 0)])
+
+
+def test_validators_on_the_p4_construction():
+    code = construct_gen_lucas_code(4, "n-2")  # 2,047 members in 32,737 vertices
+    graph = code.graph
+    assert is_perfect_code(graph, code)
+    member = code.ids()[0]
+    neighbor = graph.neighbor_ids(member)[0]
+    dropped = VertexSet(graph, code.mask ^ 1 << member)
+    assert is_code(graph, dropped) and not is_dominating(graph, dropped)
+    assert not is_code(graph, VertexSet(graph, code.mask | 1 << neighbor))
+    assert not is_perfect_code(graph, VertexSet(graph, dropped.mask | 1 << neighbor))
+
+
+def test_validators_on_the_empty_graph():
+    empty = InducedGraph(3, [])
+    assert is_code(empty, []) and is_dominating(empty, []) and is_perfect_code(empty, [])
 
 
 def test_perfect_code_is_code_and_dominating():

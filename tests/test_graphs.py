@@ -198,6 +198,14 @@ def test_vertex_set_basics():
         VertexSet(g, 1 << 10)
 
 
+@given(mask=st.integers(0, (1 << 128) - 1))
+@example(mask=0)
+@example(mask=(1 << 128) - 1)
+def test_vertex_set_ids_are_the_set_bits_ascending(mask):
+    vs = VertexSet(build_graph(HYPERCUBE, 7), mask)  # 128 vertices
+    assert vs.ids() == [i for i in range(128) if mask >> i & 1]
+
+
 def test_vertex_set_contains_ids():
     vs = VertexSet.from_ids(build_graph(LUCAS, 3), [0])
     assert 0 in vs
@@ -218,6 +226,16 @@ def test_vertex_set_contains_ids():
 def test_malformed_graph_input_rejected(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [([-1, 2], "must fit in 3 bits"), ([1, 8, 2], "strictly ascending")],
+    ids=["negative-word", "descending-and-too-wide"],
+)
+def test_graph_input_order_is_checked_before_the_range_of_its_ends(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        InducedGraph(3, vertices)
 
 
 def test_graph_cap(monkeypatch):

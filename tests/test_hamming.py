@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cubecodes import (
     BitWord,
@@ -65,6 +66,26 @@ def test_syndrome_and_codewords_match_the_definition():
         syndromes = [syndrome_by_positions(n, bits) for bits in range(1 << n)]
         assert [code.syndrome_bits(bits) for bits in range(1 << n)] == syndromes
         assert code.codeword_bits() == [bits for bits in range(1 << n) if syndromes[bits] == 0]
+
+
+@given(bits=st.integers(0, (1 << 31) - 1))
+@example(bits=0)
+@example(bits=(1 << 31) - 1)
+@example(bits=1 << 30)
+def test_syndrome_of_31_bit_words_matches_the_definition(bits):
+    # p = 5 reads four byte tables, the last one holding seven positions
+    assert build_hamming(5).syndrome_bits(bits) == syndrome_by_positions(31, bits)
+
+
+def test_decode_bits_is_decode_on_every_word():
+    for p in (2, 3, 4):
+        code = build_hamming(p)
+        n = code.n
+        members = set(code.codeword_bits())
+        for bits in range(1 << n):
+            nearest = code.decode_bits(bits)
+            assert nearest == code.decode(BitWord(n, bits)).bits
+            assert nearest in members and (nearest ^ bits).bit_count() <= 1
 
 
 def test_parity_check_annihilates_codewords():

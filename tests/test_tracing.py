@@ -2,8 +2,8 @@
 
 The tracer patches functions and methods by name; a renamed one makes
 install() fail, or leaves its layer unmeasured, so this checks both on a
-small search, a small verify and a small construction with its
-connectivity checks.
+small search, a small verify, a small construction with its
+connectivity checks, and the punctured constructions of prop-1n12.
 """
 
 import importlib.util
@@ -51,3 +51,19 @@ def test_tracer_measures_search_and_verify(capsys, monkeypatch):
     assert {op for name, *_, op in tracer.spans if name == "graphs.connect"} == {2}
     assert constructed["graphs.connect_s"] > 0 and constructed["graphs.build_s"] > 0
     assert graphs.InducedGraph.is_connected is is_connected
+
+
+def test_tracer_measures_the_punctured_constructions(capsys, monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer(
+        dict(words=words, graphs=graphs, codes=codes, hamming=hamming, claims=claims, cli=cli)
+    )
+    tracer.install()
+    try:
+        assert tracer.op(cli.main, ["verify", "--claim", "prop-1n12", "--p-set", "2,3"]) == 0
+        totals = tracer.pass_totals()
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert totals["codes.validate_calls"] == 4  # p = 2, 3 at s = n-1 and n-2
+    assert totals["hamming.construct_s"] > 0 and totals["graphs.build_s"] > 0
