@@ -15,10 +15,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import lt
 from typing import Callable, Iterator
 
 from .limits import check_cap, graph_cap
-from .words import BitWord, Family, check_length, iter_family_bits
+from .words import BitWord, Family, check_length, coordinate_masks, iter_family_bits
 
 
 def hamming_distance(x: BitWord, y: BitWord) -> int:
@@ -37,7 +38,7 @@ class InducedGraph:
 
     def __init__(self, n: int, vertices: list[int], family: Family | None = None):
         check_length(n)
-        if any(a >= b for a, b in zip(vertices, vertices[1:])):
+        if not all(map(lt, vertices, islice(vertices, 1, None))):
             raise ValueError("vertices must be strictly ascending")
         # Ascending, so the two ends bound every word.
         if vertices and not (vertices[0] >= 0 and vertices[-1] < 1 << n):
@@ -141,13 +142,7 @@ class InducedGraph:
         for bits in vertices:
             flags[bits] = 1
         words = int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
-        low = []  # low[b]: the words whose bit b is clear
-        for b in range(n):
-            clear, period = (1 << (1 << b)) - 1, 2 << b
-            while period < size:
-                clear |= clear << period
-                period <<= 1
-            low.append(clear)
+        low = coordinate_masks(n)
         reached = 1 << vertices[0]
         while True:
             before = reached

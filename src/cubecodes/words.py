@@ -10,12 +10,20 @@ Families:
   lucas      no 11 substring, and not both b_1 = b_n = 1 (Lucas strings)
   fib1s:s    no run of s consecutive ones
   lucas1s:s  no run of s consecutive ones in the cyclic order
+
+Membership of one word is tested on its packed integer.  A whole family is
+listed from a 2^n-bit integer over the word space, one bit per word: a
+member has a clear bit in each forbidden window of positions, which is an
+OR of per-coordinate masks, so no candidate is tested one by one.  The
+masks take O(n · 2^n / 8) bytes, so the listing is held to the
+enumeration cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterator
 
 from .limits import check_cap
@@ -212,21 +220,63 @@ def check_length(n: int):
         raise ValueError(f"length must be in 0..{MAX_LENGTH}, got {n}")
 
 
-def iter_family_bits(family: Family, n: int) -> Iterator[int]:
-    """Yield packed members of the family at length n in ascending order.
+def coordinate_masks(n: int) -> list[int]:
+    """The 2^n-bit masks over the word space of the words with one bit clear.
 
-    The scan covers all 2^n candidates; a scan larger than the enumeration
-    cap is rejected up front.
+    Bit w of the b-th mask is set when the packed word w has bit b clear.
+    Each mask is built by doubling its period-2^(b+1) pattern, in
+    O(2^n / 64) word operations.
+    """
+    size = 1 << n
+    low = []
+    for b in range(n):
+        clear, period = (1 << (1 << b)) - 1, 2 << b
+        while period < size:
+            clear |= clear << period
+            period <<= 1
+        low.append(clear)
+    return low
+
+
+# Maps the '0'/'1' characters of a binary numeral to the flag bytes 0/1.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def iter_family_bits(family: Family, n: int) -> Iterator[int]:
+    """An iterator over the packed members of the family at length n, ascending.
+
+    The members are found as one 2^n-bit integer over the word space, in
+    which bit w stands for the word w.  A member has a clear bit in each
+    forbidden window of consecutive (for the Lucas kinds, cyclically
+    consecutive) positions, so the members are the AND over the windows of
+    the OR of the window's coordinate masks.  The masks take
+    O(n · 2^n / 8) bytes, so the bitmap is held to the enumeration cap,
+    which is checked before it is built.
     """
     check_length(n)
-    check_cap("enum_cap", 1 << n, f"enumeration at n={n} of 2^{n} words")
-    if family.kind == KIND_HYPERCUBE:
-        yield from range(1 << n)
-        return
-    member = membership_test(family, n)
-    for bits in range(1 << n):
-        if member(bits):
-            yield bits
+    size = 1 << n
+    check_cap("enum_cap", size, f"enumeration at n={n} of 2^{n} words")
+    kind = family.kind
+    if kind == KIND_HYPERCUBE:
+        return iter(range(size))
+    s = 2 if family.s is None else family.s
+    if kind in (KIND_FIBONACCI, KIND_GEN_FIBONACCI):
+        windows = [range(b, b + s) for b in range(n - s + 1)]
+    elif s <= n or kind == KIND_LUCAS:
+        # The Lucas rule on b_1 and b_n is the cyclic window (n-1, 0); at
+        # n = 1 it is (0, 0), which leaves Lucas n=1 = {0}.
+        windows = [[(b + j) % n for j in range(s)] for b in range(n)]
+    else:
+        windows = []
+    low = coordinate_masks(n)
+    members = (1 << size) - 1
+    for window in windows:
+        some_clear = 0
+        for b in window:
+            some_clear |= low[b]
+        members &= some_clear
+    flags = format(members, f"0{size}b").encode()[::-1].translate(_DIGIT_FLAGS)
+    return compress(range(size), flags)
 
 
 def enumerate_family(family: Family, n: int) -> list[BitWord]:

@@ -20,6 +20,7 @@ from cubecodes import (
     is_fibonacci,
     is_lucas,
     is_member,
+    iter_family_bits,
     parse_family,
 )
 from cubecodes.words import Family
@@ -230,6 +231,71 @@ def test_enumerate_family_sorted_unique():
             assert len(set(out)) == len(out)
             for w in out:
                 assert is_member(family, w)
+
+
+def oracle_member(family, text):
+    n, s = len(text), family.s
+    if family.kind == "qn":
+        return True
+    if family.kind == "fib":
+        return not oracle_has_run(text, 2)
+    if family.kind == "lucas":
+        return not oracle_has_run(text, 2) and not (n and text[0] == text[-1] == "1")
+    if family.kind == "fib1s":
+        return not oracle_has_run(text, s)
+    return not oracle_has_cyclic_run(text, s)
+
+
+@pytest.mark.parametrize("kind", ["qn", "fib", "lucas", "fib1s", "lucas1s"])
+def test_iter_family_bits_against_string_oracles(kind):
+    for n in range(0, 13):
+        words = all_words(n)
+        runs = range(1, n + 3) if kind in ("fib1s", "lucas1s") else [None]
+        for s in runs:
+            family = Family(kind, s)
+            expected = [w.bits for w in words if oracle_member(family, str(w))]
+            assert list(iter_family_bits(family, n)) == expected, (str(family), n)
+
+
+@pytest.mark.parametrize(
+    "family, n, expected",
+    [
+        (LUCAS, 1, [0]),
+        (gen_lucas(2), 1, [0, 1]),
+        (gen_fibonacci(1), 5, [0]),
+        (gen_fibonacci(6), 5, list(range(32))),
+        (gen_lucas(7), 5, list(range(32))),
+        (HYPERCUBE, 0, [0]),
+        (LUCAS, 0, [0]),
+        (gen_fibonacci(1), 0, [0]),
+        (gen_lucas(1), 0, [0]),
+    ],
+    ids=[
+        "lucas-n1",
+        "lucas1s-2-n1",
+        "fib1s-1",
+        "fib1s-s-above-n",
+        "lucas1s-s-above-n",
+        "qn-n0",
+        "lucas-n0",
+        "fib1s-1-n0",
+        "lucas1s-1-n0",
+    ],
+)
+def test_iter_family_bits_edge_cases(family, n, expected):
+    assert list(iter_family_bits(family, n)) == expected
+
+
+@pytest.mark.parametrize(
+    "family, count",
+    [(LUCAS, 15_127), (FIBONACCI, 17_711), (gen_lucas(19), (1 << 20) - 21)],
+    ids=["lucas-L20", "fib-F22", "lucas1s-19"],
+)
+def test_iter_family_bits_closed_forms_at_the_default_cap(monkeypatch, family, count):
+    # n = 20 is the largest scan the default enumeration cap allows; lucas1s:19
+    # forbids only 1^20 and the 20 rotations of 1^19 0.
+    monkeypatch.delenv("CUBECODES_ENUM_CAP", raising=False)
+    assert sum(1 for _ in iter_family_bits(family, 20)) == count
 
 
 def test_enumeration_cap(monkeypatch):
