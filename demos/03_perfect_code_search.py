@@ -12,11 +12,11 @@ from cubecodes import (
     FIBONACCI,
     HYPERCUBE,
     LUCAS,
+    VertexSet,
     build_graph,
     count_perfect_codes_dfs,
     find_perfect_code,
     gen_lucas,
-    has_circular_ones_run,
     search_constrained,
 )
 
@@ -47,10 +47,10 @@ def main():
     print()
     print("== constrained search: codewords without cyclic runs ==")
     for s in (2, 4, 6, 7):
-        out = search_constrained(
-            q7, lambda w, s=s: has_circular_ones_run(w, s), "first"
-        )
-        print(f"  avoid cyclic 1^{s}: {out.status}")
+        # the allowed codewords are the vertices that are members of lucas1s:s
+        codewords = VertexSet.from_family(q7, gen_lucas(s))
+        out = search_constrained(q7, codewords, "first")
+        print(f"  avoid cyclic 1^{s} ({len(codewords)} allowed codewords): {out.status}")
 
     print()
     print("== open territory: short forbidden runs in small graphs ==")

@@ -31,9 +31,9 @@ from .words import (
     HYPERCUBE,
     count_weight_level,
     enumerate_family,
-    has_circular_ones_run,
+    gen_lucas,
 )
-from .graphs import build_graph
+from .graphs import VertexSet, build_graph
 from .codes import (
     STATUS_BUDGET,
     STATUS_ENUMERATED,
@@ -293,7 +293,7 @@ def check_hypercube_avoidance(
             for s in range(2, n):
                 outcome = search_constrained(
                     graph,
-                    lambda w, s=s: has_circular_ones_run(w, s),
+                    VertexSet.from_family(graph, gen_lucas(s)),
                     "prove_none",
                     node_budget=node_budget,
                     time_budget=time_budget,

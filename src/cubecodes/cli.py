@@ -13,7 +13,7 @@ import json
 import sys
 
 from .limits import ResourceLimitError, non_negative
-from .words import BitWord, Family, has_circular_ones_run, iter_family_bits, parse_family
+from .words import BitWord, Family, gen_lucas, iter_family_bits, parse_family
 from .graphs import VertexSet, build_graph
 from .codes import STATUS_BUDGET, STATUS_EXHAUSTED, search_constrained
 from .claims import (
@@ -83,13 +83,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_search(args) -> int:
     graph = build_graph(args.family, args.n)
-    forbidden = None
+    codewords = None
     if args.avoid_circular_run is not None:
-        s = args.avoid_circular_run
-        forbidden = lambda w: has_circular_ones_run(w, s)
+        codewords = VertexSet.from_family(graph, gen_lucas(args.avoid_circular_run))
     outcome = search_constrained(
         graph,
-        forbidden,
+        codewords,
         args.mode,
         node_budget=args.budget_nodes,
         time_budget=args.budget_seconds,
@@ -150,9 +149,9 @@ def _load_code_words(path: str) -> list[str]:
     except json.JSONDecodeError:
         return [line.strip() for line in text.splitlines() if line.strip()]
     if isinstance(payload, dict):
-        return list(payload.get("witness", []))
-    if isinstance(payload, list):
-        return [str(item) for item in payload]
+        payload = payload.get("witness")
+    if isinstance(payload, list) and all(isinstance(item, str) for item in payload):
+        return payload
     raise ValueError(f"cannot read a code from {path!r}")
 
 

@@ -30,10 +30,10 @@ vertex set and the set of allowed blocks onto themselves; it is built once
 per search, checking each generator in O(V), and a generator that fails is
 dropped.  A coordinate permutation moves no Hamming distance, so every
 element of G is an automorphism of the graph that maps allowed blocks to
-allowed blocks.  For lucas, lucas1s:s, and qn (also with a rotation- and
-reversal-invariant forbidden set, such as a cyclic run) G is the dihedral
-group of order 2n; for fib and fib1s:s (s < n), whose runs are linear, the
-reversal alone.  Each branch point carries a group H of elements that map
+allowed blocks.  For lucas, lucas1s:s, and qn (also with the codewords held
+to a rotation- and reversal-invariant set, such as the members of
+lucas1s:s) G is the dihedral group of order 2n; for fib and fib1s:s
+(s < n), whose runs are linear, the reversal alone.  Each branch point carries a group H of elements that map
 the blocks chosen above it onto themselves: the elements of the H of the
 branch point above (G for the first one) that map the blocks taken since
 onto themselves.  If g in H maps candidate c to a later candidate c', then
@@ -70,10 +70,8 @@ import array
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from .limits import ResourceLimitError, check_cap, default_node_budget, default_time_budget
-from .words import BitWord
 from .graphs import InducedGraph, VertexSet
 
 MODE_FIRST = "first"
@@ -404,15 +402,16 @@ def _reversed_words(words, n: int) -> list[int]:
     return [w >> shift for w in flipped]
 
 
-def _symmetry_group(graph: InducedGraph, banned: set[int]) -> list[tuple[list[int], int, int]]:
+def _symmetry_group(graph: InducedGraph, allowed: int) -> list[tuple[list[int], int, int]]:
     """The rotations and reversals of the coordinates that map the search onto itself.
 
-    banned holds the words of the vertices whose blocks are not allowed.
-    The rotation by one position and the reversal are checked, each in
-    O(V): one that maps the vertex words and the banned words into
-    themselves maps each set onto itself, since it is one-to-one on words.
-    It moves no Hamming distance, so it is an automorphism of the graph that
-    maps the allowed blocks onto the allowed blocks.  A generator that fails
+    allowed is the bitmap of the ids whose blocks are allowed, and the words
+    of the vertices outside it are the banned words; there are none when it
+    holds every id.  The rotation by one position and the reversal are
+    checked, each in O(V): one that maps the vertex words and the banned
+    words into themselves maps each set onto itself, since it is one-to-one
+    on words.  It moves no Hamming distance, so it is an automorphism of the
+    graph that maps the allowed blocks onto the allowed blocks.  A generator that fails
     is dropped.  The group they generate is returned less its identity, as
     elements (source, k, n - k): vertex x goes to the word source[x] rotated
     left by k positions, where source is the vertex words or their
@@ -424,6 +423,7 @@ def _symmetry_group(graph: InducedGraph, banned: set[int]) -> list[tuple[list[in
         return []
     words = graph.vertices
     index = graph.index
+    banned = {words[i] for i in VertexSet(graph, ((1 << len(words)) - 1) & ~allowed).ids()}
     full = (1 << n) - 1
     m = n - 1
     rotations = range(1, n)
@@ -445,8 +445,8 @@ class _Orbits:
 
     __slots__ = ("group", "words", "full")
 
-    def __init__(self, graph: InducedGraph, banned: set[int]):
-        self.group = _symmetry_group(graph, banned)
+    def __init__(self, graph: InducedGraph, allowed: int):
+        self.group = _symmetry_group(graph, allowed)
         self.words = graph.vertices
         self.full = (1 << graph.n) - 1
 
@@ -764,7 +764,7 @@ def _split_workers() -> int:
 
 def search_constrained(
     graph: InducedGraph,
-    forbidden: Callable[[BitWord], bool] | None,
+    codewords: VertexSet | None,
     mode: str = MODE_FIRST,
     *,
     node_budget: int | None = None,
@@ -772,12 +772,13 @@ def search_constrained(
     seed: int = 0,
     collect_witnesses: bool = False,
 ) -> SearchOutcome:
-    """Search perfect codes whose codewords all avoid the forbidden predicate.
+    """Search perfect codes whose codewords all lie in the codewords vertex set.
 
-    Blocks N[v] with forbidden(v) are removed from the cover; the universe
-    to dominate is still all of V(G).  Budgets default to the
-    CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment caps, and
-    must be non-negative.
+    codewords is read as is_perfect_code reads a code, and None allows every
+    vertex.  Blocks N[v] of the vertices outside it are removed from the
+    cover; the universe to dominate is still all of V(G).  Budgets default
+    to the CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment
+    caps, and must be non-negative.
 
     Five module names are read at each call, and tests patch them to force
     a cover state, a split, a clock stride or the plain tree:
@@ -800,23 +801,13 @@ def search_constrained(
     blocks = _Blocks(graph)
     n_vertices = len(graph)
 
-    allowed = 0
-    banned = set()
-    if forbidden is None:
-        allowed = (1 << n_vertices) - 1
-    else:
-        for i in range(n_vertices):
-            w = graph.word(i)
-            if forbidden(w):
-                banned.add(w.bits)
-            else:
-                allowed |= 1 << i
+    allowed = (1 << n_vertices) - 1 if codewords is None else _as_code(graph, codewords).mask
 
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
     split_at = started + SPLIT_AFTER_S if workers > 1 else None
     # enumerate counts every code, so it searches the plain tree
-    orbits = _Orbits(graph, banned) if mode != MODE_ENUMERATE else None
+    orbits = _Orbits(graph, allowed) if mode != MODE_ENUMERATE else None
     if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
     else:
@@ -893,20 +884,19 @@ def enumerate_perfect_codes_naive(graph: InducedGraph) -> int:
 
 def count_perfect_codes_dfs(
     graph: InducedGraph,
-    forbidden: Callable[[BitWord], bool] | None = None,
+    codewords: VertexSet | None = None,
 ) -> int:
     """Count perfect codes by always covering the lowest uncovered vertex.
 
-    Structurally unlike the engine: no candidate ordering, no conflict
-    propagation, no forced-move handling; disjointness is re-checked
-    against the covered set at every step.
+    Only the vertices of codewords, read as is_perfect_code reads a code,
+    may be codewords; None allows every vertex.  Structurally unlike the
+    engine: no candidate ordering, no conflict propagation, no forced-move
+    handling; disjointness is re-checked against the covered set at every
+    step.
     """
     masks = [graph.closed_mask(i) for i in range(len(graph))]
-    allowed = 0
-    for i in range(len(graph)):
-        if forbidden is None or not forbidden(graph.word(i)):
-            allowed |= 1 << i
     full = (1 << len(graph)) - 1
+    allowed = full if codewords is None else _as_code(graph, codewords).mask
 
     def rec(covered: int) -> int:
         if covered == full:

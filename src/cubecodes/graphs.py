@@ -19,7 +19,11 @@ from operator import lt
 from typing import Callable, Iterator
 
 from .limits import check_cap, graph_cap
-from .words import BitWord, Family, check_length, coordinate_masks, iter_family_bits
+from .words import BitWord, Family, check_length, coordinate_masks, iter_family_bits, membership_test
+
+
+# Maps the flag bytes 0/1 to the characters of a binary numeral.
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def hamming_distance(x: BitWord, y: BitWord) -> int:
@@ -141,7 +145,7 @@ class InducedGraph:
         flags = bytearray(size)
         for bits in vertices:
             flags[bits] = 1
-        words = int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+        words = int(flags.translate(_FLAG_DIGITS)[::-1], 2)
         low = coordinate_masks(n)
         reached = 1 << vertices[0]
         while True:
@@ -245,6 +249,12 @@ class VertexSet:
             mask |= 1 << i
         return cls(graph, mask)
 
+    @classmethod
+    def from_family(cls, graph: InducedGraph, family: Family) -> "VertexSet":
+        """The vertices of the graph that are members of the family at the graph's length."""
+        flags = bytes(map(membership_test(family, graph.n), graph.vertices))
+        return cls(graph, int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2))
+
     def ids(self) -> list[int]:
         """Member ids, ascending, read from the binary numeral of the mask in one pass."""
         return [i for i, c in enumerate(bin(self.mask)[:1:-1]) if c == "1"]
@@ -259,7 +269,7 @@ class VertexSet:
         if isinstance(w, BitWord):
             i = self.graph.index.get(w.bits) if w.length == self.graph.n else None
             return i is not None and bool(self.mask >> i & 1)
-        return bool(self.mask >> w & 1)
+        return 0 <= w < len(self.graph) and bool(self.mask >> w & 1)
 
 
 def build_graph(family: Family, n: int) -> InducedGraph:

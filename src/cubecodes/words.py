@@ -11,12 +11,15 @@ Families:
   fib1s:s    no run of s consecutive ones
   lucas1s:s  no run of s consecutive ones in the cyclic order
 
-Membership of one word is tested on its packed integer.  A whole family is
-listed from a 2^n-bit integer over the word space, one bit per word: a
-member has a clear bit in each forbidden window of positions, which is an
-OR of per-coordinate masks, so no candidate is tested one by one.  The
-masks take O(n · 2^n / 8) bytes, so the listing is held to the
-enumeration cap.
+Each family is defined once, by its forbidden windows (_windows): sets of
+positions that a member must not have all set.  A run of s ones, linear or
+cyclic, is a window of s positions, and the Lucas rule on b_1 and b_n is
+the window (n-1, 0).  One word is a member iff its packed integer has a
+clear bit in every window mask.  A whole family is listed from a 2^n-bit
+integer over the word space, one bit per word: the words with a clear bit
+in a window are an OR of per-coordinate masks, so no candidate is tested
+one by one.  The masks take O(n · 2^n / 8) bytes, so the listing is held
+to the enumeration cap.
 """
 
 from __future__ import annotations
@@ -130,36 +133,49 @@ def parse_family(text: str) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# Run predicates on packed integers
+# Forbidden windows and membership
 # ---------------------------------------------------------------------------
 
-def _has_run(bits: int, s: int) -> bool:
-    # After k rounds of v &= v >> 1, bit i survives iff a run of k+1 ones
-    # starts there, so s-1 rounds detect runs of length >= s.
-    v = bits
-    for _ in range(s - 1):
-        v &= v >> 1
-        if not v:
-            return False
-    return v != 0
+def _windows(family: Family, n: int) -> list[int]:
+    """The forbidden windows of the family at length n, as masks of packed bit positions.
+
+    A word is a member iff it has a clear bit in every window, that is
+    bits & m != m for each mask m.  A window is s consecutive positions, or
+    for the Lucas kinds s cyclically consecutive ones, with s = 2 for fib
+    and lucas.  The positions are OR-ed into the mask, so the Lucas window
+    (n-1, 0), which is the rule on b_1 and b_n, is (0, 0) at n = 1 and
+    leaves Lucas n=1 = {0}.  lucas1s:s with s > n has no window.
+    """
+    kind = family.kind
+    if kind == KIND_HYPERCUBE:
+        return []
+    s = 2 if family.s is None else family.s
+    run = (1 << s) - 1
+    if kind in (KIND_FIBONACCI, KIND_GEN_FIBONACCI):
+        return [run << b for b in range(n - s + 1)]
+    if s > n and kind == KIND_GEN_LUCAS:
+        return []
+    # The positions of run << b past n - 1 fold back down to 0, 1, ...
+    full = (1 << n) - 1
+    return [(run << b | run << b >> n) & full for b in range(n)]
 
 
-def _has_cyclic_run(bits: int, n: int, s: int) -> bool:
-    # A cyclic run of an n-word is a linear run of w||w; the first 2n-1
-    # characters already contain every cyclic run once (see the
-    # rotation-invariance test for the exhaustive cross-check).
-    if s > n:
-        return False
-    return _has_run(((bits << n) | bits) >> 1, s)
+def membership_test(family: Family, n: int) -> Callable[[int], bool]:
+    """Packed-integer membership predicate for the family at length n."""
+    windows = _windows(family, n)
+    return lambda bits: all([bits & m != m for m in windows])
+
+
+def is_member(family: Family, w: BitWord) -> bool:
+    """Whether the word belongs to the family at its own length."""
+    return membership_test(family, w.length)(w.bits)
 
 
 def has_ones_run(w: BitWord, s: int) -> bool:
     """True iff 1^s occurs as a contiguous substring of the word."""
     if s < 1:
         raise ValueError(f"run length must be positive, got {s}")
-    if s > w.length:
-        return False
-    return _has_run(w.bits, s)
+    return not is_member(gen_fibonacci(s), w)
 
 
 def is_fibonacci(w: BitWord) -> bool:
@@ -185,29 +201,7 @@ def has_circular_ones_run(w: BitWord, s: int) -> bool:
     """True iff some circulation of the word contains 1^s as a substring."""
     if s < 1:
         raise ValueError(f"run length must be positive, got {s}")
-    return _has_cyclic_run(w.bits, w.length, s)
-
-
-def membership_test(family: Family, n: int) -> Callable[[int], bool]:
-    """Packed-integer membership predicate for the family at length n."""
-    kind, s = family.kind, family.s
-    if kind == KIND_HYPERCUBE:
-        return lambda bits: True
-    if kind == KIND_FIBONACCI:
-        return lambda bits: bits & (bits >> 1) == 0
-    if kind == KIND_LUCAS:
-        if n == 0:
-            return lambda bits: True
-        top = 1 << (n - 1)
-        return lambda bits: bits & (bits >> 1) == 0 and not (bits & top and bits & 1)
-    if kind == KIND_GEN_FIBONACCI:
-        return lambda bits: not _has_run(bits, s)
-    return lambda bits: not _has_cyclic_run(bits, n, s)
-
-
-def is_member(family: Family, w: BitWord) -> bool:
-    """Whether the word belongs to the family at its own length."""
-    return membership_test(family, w.length)(w.bits)
+    return not is_member(gen_lucas(s), w)
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +241,24 @@ def iter_family_bits(family: Family, n: int) -> Iterator[int]:
 
     The members are found as one 2^n-bit integer over the word space, in
     which bit w stands for the word w.  A member has a clear bit in each
-    forbidden window of consecutive (for the Lucas kinds, cyclically
-    consecutive) positions, so the members are the AND over the windows of
-    the OR of the window's coordinate masks.  The masks take
-    O(n · 2^n / 8) bytes, so the bitmap is held to the enumeration cap,
-    which is checked before it is built.
+    window of _windows, so the members are the AND over the windows of the
+    OR of the window's coordinate masks; a family with no window is every
+    word.  The masks take O(n · 2^n / 8) bytes, so the bitmap is held to
+    the enumeration cap, which is checked before it is built.
     """
     check_length(n)
     size = 1 << n
     check_cap("enum_cap", size, f"enumeration at n={n} of 2^{n} words")
-    kind = family.kind
-    if kind == KIND_HYPERCUBE:
+    windows = _windows(family, n)
+    if not windows:
         return iter(range(size))
-    s = 2 if family.s is None else family.s
-    if kind in (KIND_FIBONACCI, KIND_GEN_FIBONACCI):
-        windows = [range(b, b + s) for b in range(n - s + 1)]
-    elif s <= n or kind == KIND_LUCAS:
-        # The Lucas rule on b_1 and b_n is the cyclic window (n-1, 0); at
-        # n = 1 it is (0, 0), which leaves Lucas n=1 = {0}.
-        windows = [[(b + j) % n for j in range(s)] for b in range(n)]
-    else:
-        windows = []
     low = coordinate_masks(n)
     members = (1 << size) - 1
     for window in windows:
         some_clear = 0
-        for b in window:
-            some_clear |= low[b]
+        for b in range(n):
+            if window >> b & 1:
+                some_clear |= low[b]
         members &= some_clear
     flags = format(members, f"0{size}b").encode()[::-1].translate(_DIGIT_FLAGS)
     return compress(range(size), flags)

@@ -13,6 +13,7 @@ from cubecodes import (
     FIBONACCI,
     HYPERCUBE,
     LUCAS,
+    VertexSet,
     build_graph,
     build_hamming,
     construct_gen_lucas_code,
@@ -21,8 +22,8 @@ from cubecodes import (
     enumerate_family,
     enumerate_perfect_codes_naive,
     find_perfect_code,
+    gen_lucas,
     hamming_distance,
-    has_circular_ones_run,
     is_perfect_code,
     search_constrained,
 )
@@ -104,13 +105,11 @@ def test_criterion_4_gen_lucas_constructions():
 def test_criterion_5_hypercube_avoidance():
     with _criterion(5, "no cyclic-run-free perfect code in Q_3, Q_7", 600):
         q3 = build_graph(HYPERCUBE, 3)
-        out = search_constrained(q3, lambda w: has_circular_ones_run(w, 2), "prove_none")
+        out = search_constrained(q3, VertexSet.from_family(q3, gen_lucas(2)), "prove_none")
         assert out.status == "exhausted"
         q7 = build_graph(HYPERCUBE, 7)
         for s in range(2, 7):
-            out = search_constrained(
-                q7, lambda w, s=s: has_circular_ones_run(w, s), "prove_none"
-            )
+            out = search_constrained(q7, VertexSet.from_family(q7, gen_lucas(s)), "prove_none")
             assert out.status == "exhausted", s
         engine_count = find_perfect_code(q7, "enumerate").count
         oracle_count = count_perfect_codes_dfs(q7)

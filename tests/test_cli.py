@@ -279,12 +279,24 @@ def test_export_json_word_array(capsys, tmp_path):
     assert json.loads(out)["code"] == [0]
 
 
-def test_export_rejects_json_scalar(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("7", 3),
+        ('{"witness": "000"}', 1),
+        ('{"witness": [5]}', 3),
+        ('{"witness": 5}', 3),
+        ("[101]", 3),
+        ('{"status": "exhausted"}', 3),
+    ],
+    ids=["scalar", "witness-string", "witness-int-item", "witness-scalar", "int-item", "no-witness"],
+)
+def test_export_rejects_json_scalar(capsys, tmp_path, text, n):
     code_path = tmp_path / "code.json"
-    code_path.write_text("7")
+    code_path.write_text(text)
     code, out, err = run_cli(
         capsys,
-        "export", "--family", "lucas", "--n", "3", "--highlight-code", str(code_path),
+        "export", "--family", "lucas", "--n", str(n), "--highlight-code", str(code_path),
     )
     assert code == 1
     assert "cannot read a code" in err and out == ""

@@ -38,7 +38,7 @@ from cubecodes.graphs import InducedGraph
 W = BitWord.from_string
 
 
-def forced_search(graph, forbidden, mode, counted, *, split_after=None, workers=1,
+def forced_search(graph, codewords, mode, counted, *, split_after=None, workers=1,
                   check_every=CHECK_EVERY, **kwargs):
     """search_constrained in the counted or the bitmap state, split as given.
 
@@ -54,12 +54,17 @@ def forced_search(graph, forbidden, mode, counted, *, split_after=None, workers=
         patch.setattr(codes, "SPLIT_AFTER_S", split_after)
         patch.setattr(codes, "_split_workers", lambda: workers)
         patch.setattr(codes, "CHECK_EVERY", check_every)
-        return search_constrained(graph, forbidden, mode, **kwargs)
+        return search_constrained(graph, codewords, mode, **kwargs)
 
 
-def no_symmetry(graph, banned):
+def no_symmetry(graph, allowed):
     """The trivial group: patched in for codes._symmetry_group, it gives the plain tree."""
     return []
+
+
+def codewords_outside(graph, banned):
+    """The vertices of the graph whose words are not in banned."""
+    return VertexSet.from_ids(graph, [i for i, bits in enumerate(graph.vertices) if bits not in banned])
 
 
 def test_is_code_examples():
@@ -258,7 +263,7 @@ def test_found_witnesses_revalidate():
 
 def test_search_constrained_q3():
     q3 = build_graph(HYPERCUBE, 3)
-    out = search_constrained(q3, lambda w: has_circular_ones_run(w, 2), "prove_none")
+    out = search_constrained(q3, VertexSet.from_family(q3, gen_lucas(2)), "prove_none")
     assert out.status == "exhausted"
     # brute force over the 4 allowed codewords confirms
     allowed = [w for w in q3.words() if not has_circular_ones_run(w, 2)]
@@ -271,20 +276,17 @@ def test_search_constrained_q3():
 def test_search_constrained_q7():
     q7 = build_graph(HYPERCUBE, 7)
     for s in range(2, 7):
-        out = search_constrained(
-            q7, lambda w, s=s: has_circular_ones_run(w, s), "prove_none"
-        )
+        out = search_constrained(q7, VertexSet.from_family(q7, gen_lucas(s)), "prove_none")
         assert out.status == "exhausted", s
-    out = search_constrained(q7, lambda w: has_circular_ones_run(w, 7), "first")
+    out = search_constrained(q7, VertexSet.from_family(q7, gen_lucas(7)), "first")
     assert out.status == "found"
     assert all(str(w) != "1111111" for w in out.witness.words())
     assert is_perfect_code(q7, out.witness)
 
 
 def test_rotation_maps_codes_to_codes():
-    out = search_constrained(
-        build_graph(HYPERCUBE, 7), lambda w: has_circular_ones_run(w, 7), "first"
-    )
+    q7 = build_graph(HYPERCUBE, 7)
+    out = search_constrained(q7, VertexSet.from_family(q7, gen_lucas(7)), "first")
     g = build_graph(gen_lucas(7), 7)
     code = VertexSet.from_words(g, out.witness.words())
     assert is_perfect_code(g, code)
@@ -334,6 +336,10 @@ def test_foreign_code_rejected():
     code = VertexSet.from_words(other, [W("0000")])
     with pytest.raises(ValueError):
         is_perfect_code(g, code)
+    # the allowed codewords of a search are read the same way
+    for search in (lambda: search_constrained(g, code, "prove_none"), lambda: count_perfect_codes_dfs(g, code)):
+        with pytest.raises(ValueError, match="belongs to a different graph"):
+            search()
 
 
 # ---------------------------------------------------------------------------
@@ -352,55 +358,55 @@ def _verdict(out):
     return status, count, witness, witnesses
 
 
-def search_both(graph, forbidden, mode, **kwargs):
+def search_both(graph, codewords, mode, **kwargs):
     """Run the bitmap and the counted state on one input: (bitmap, counted).
 
     They reach the same status, count, witness and witnesses.  The counted
     state ends a node as soon as a vertex has no usable block left, where
     the bitmap state may first make forced moves, so it never searches more.
     """
-    bitmap = forced_search(graph, forbidden, mode, False, **kwargs)
-    counted = forced_search(graph, forbidden, mode, True, **kwargs)
+    bitmap = forced_search(graph, codewords, mode, False, **kwargs)
+    counted = forced_search(graph, codewords, mode, True, **kwargs)
     assert _verdict(bitmap) == _verdict(counted)
     assert counted.nodes <= bitmap.nodes
     return bitmap, counted
 
 
-def search_split(graph, forbidden, mode, **kwargs):
+def search_split(graph, codewords, mode, **kwargs):
     """search_both, then the same search split at once over 2 and over 3 processes.
 
     The split comes at the first clock read with two open subtrees: after
     every node with the bitmap state, every 4 nodes with the counted one.
     Each split run gives the serial run of its own state, nodes included.
     """
-    serial = search_both(graph, forbidden, mode, **kwargs)
+    serial = search_both(graph, codewords, mode, **kwargs)
     for workers, counted, check_every in ((2, False, 1), (3, True, 4)):
         split = forced_search(
-            graph, forbidden, mode, counted,
+            graph, codewords, mode, counted,
             split_after=0.0, workers=workers, check_every=check_every, **kwargs,
         )
         assert _fingerprint(split) == _fingerprint(serial[counted]), (workers, counted)
     return serial
 
 
-def check_against_oracles(graph, forbidden=None, seeds=(0, 5)):
+def check_against_oracles(graph, codewords=None, seeds=(0, 5)):
     """Enumerate and first mode, serial and split; counts must match the oracles."""
     count = None
     for seed in seeds:
-        out, _ = search_split(graph, forbidden, "enumerate", seed=seed, collect_witnesses=True)
+        out, _ = search_split(graph, codewords, "enumerate", seed=seed, collect_witnesses=True)
         assert out.status == "enumerated"
         assert count in (None, out.count)
         count = out.count
         for witness in out.witnesses:
             assert is_perfect_code(graph, witness)
-            assert forbidden is None or not any(forbidden(w) for w in witness.words())
-        first, _ = search_split(graph, forbidden, "first", seed=seed)
+            assert codewords is None or witness.mask & ~codewords.mask == 0
+        first, _ = search_split(graph, codewords, "first", seed=seed)
         if count:
             assert first.status == "found" and is_perfect_code(graph, first.witness)
         else:
             assert first.status == "exhausted"
-    assert count == count_perfect_codes_dfs(graph, forbidden)
-    if forbidden is None and len(graph) <= 14:
+    assert count == count_perfect_codes_dfs(graph, codewords)
+    if codewords is None and len(graph) <= 14:
         assert count == enumerate_perfect_codes_naive(graph)
     return count
 
@@ -423,7 +429,7 @@ def test_representations_agree_on_families():
             check_against_oracles(build_graph(family, 7), seeds=(0, s))
     q7 = build_graph(HYPERCUBE, 7)
     for s in range(2, 8):
-        avoid = lambda w, s=s: has_circular_ones_run(w, s)
+        avoid = VertexSet.from_family(q7, gen_lucas(s))
         assert check_against_oracles(q7, avoid, seeds=(0, s)) == (0 if s < 7 else 210)
 
 
@@ -437,8 +443,8 @@ def induced_graphs(draw, max_words=24):
 @settings(max_examples=80)
 @given(graph=induced_graphs(), banned=st.none() | st.sets(st.integers(0, 63)), seed=st.integers(1, 10**6))
 def test_representations_agree_on_random_graphs(graph, banned, seed):
-    forbidden = None if banned is None else (lambda w: w.bits in banned)
-    check_against_oracles(graph, forbidden, seeds=(0, seed))
+    codewords = None if banned is None else codewords_outside(graph, banned)
+    check_against_oracles(graph, codewords, seeds=(0, seed))
 
 
 def test_node_counts_are_pinned(monkeypatch):
@@ -480,11 +486,11 @@ def test_counted_state_stops_at_a_vertex_without_blocks():
         dead = {g.word(i).bits for i in [last, *g.neighbor_ids(last)]}
         forced = dead | {g.word(i).bits for i in g.neighbor_ids(0)}
         for banned in (dead, forced):
-            forbidden = lambda w: w.bits in banned
-            bitmap, counted = search_both(g, forbidden, "prove_none")
+            codewords = codewords_outside(g, banned)
+            bitmap, counted = search_both(g, codewords, "prove_none")
             assert (counted.status, counted.nodes) == ("exhausted", 1)
             if n == 9:
-                assert count_perfect_codes_dfs(g, forbidden) == 0
+                assert count_perfect_codes_dfs(g, codewords) == 0
         assert bitmap.nodes > 1
 
 
@@ -519,7 +525,7 @@ def test_split_stops_at_the_serial_witness():
     # whole dihedral group: the witness is the serial one, and so is the
     # node count, whatever later subtrees the other workers searched.
     q7 = build_graph(HYPERCUBE, 7)
-    avoid = lambda w: has_circular_ones_run(w, 7)
+    avoid = VertexSet.from_family(q7, gen_lucas(7))
     for seed in (0, 3, 11):
         serial = forced_search(q7, avoid, "first", False, seed=seed)
         for check_every in range(1, serial.nodes):
@@ -654,9 +660,9 @@ def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
     builds = []
     symmetry_group = codes._symmetry_group
 
-    def counted_group(graph, banned):
+    def counted_group(graph, allowed):
         builds.append(1)
-        return symmetry_group(graph, banned)
+        return symmetry_group(graph, allowed)
 
     monkeypatch.setattr(codes, "_symmetry_group", counted_group)
     g = build_graph(LUCAS, 12)
@@ -786,16 +792,16 @@ def symmetric_searches(draw):
 @example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 5))
 def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
     graph, banned, seed = case
-    forbidden = lambda w: w.bits in banned
-    assert len(codes._symmetry_group(graph, banned)) == expected_group_size(graph, banned) > 0
-    exists = count_perfect_codes_dfs(graph, forbidden) > 0
+    codewords = codewords_outside(graph, banned)
+    assert len(codes._symmetry_group(graph, codewords.mask)) == expected_group_size(graph, banned) > 0
+    exists = count_perfect_codes_dfs(graph, codewords) > 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codes, "_symmetry_group", no_symmetry)
-        plain = {mode: search_constrained(graph, forbidden, mode, seed=seed) for mode in ("first", "prove_none")}
+        plain = {mode: search_constrained(graph, codewords, mode, seed=seed) for mode in ("first", "prove_none")}
     for mode in ("first", "prove_none"):
         with pytest.MonkeyPatch.context() as patch:
             audit_pruning(patch)
-            pruned = search_constrained(graph, forbidden, mode, seed=seed)
+            pruned = search_constrained(graph, codewords, mode, seed=seed)
         assert pruned.status == ("found" if exists else "exhausted")
         assert _verdict(pruned) == _verdict(plain[mode])
         assert pruned.nodes <= plain[mode].nodes
@@ -810,31 +816,31 @@ def test_group_of_each_family():
         (FIBONACCI, 9, 1), (gen_fibonacci(3), 8, 1), (LUCAS, 2, 0), (HYPERCUBE, 1, 0),
     ):
         g = build_graph(family, n)
-        group = codes._symmetry_group(g, set())
+        group = codes._symmetry_group(g, codewords_outside(g, set()).mask)
         assert len(group) == size, (family, n)
         maps = group_maps(g, group)
         assert all(set(image.values()) == set(g.vertices) for image in maps)
         assert all(any(w != v for w, v in image.items()) for image in maps)
         assert len({tuple(sorted(image.items())) for image in maps}) == size
     fib = build_graph(FIBONACCI, 9)
-    [reversal] = group_maps(fib, codes._symmetry_group(fib, set()))
+    [reversal] = group_maps(fib, codes._symmetry_group(fib, codewords_outside(fib, set()).mask))
     assert all(image == int(str(BitWord(9, w))[::-1], 2) for w, image in reversal.items())
 
 
 def test_group_drops_the_rotation_a_banned_set_breaks():
     g = build_graph(LUCAS, 8)
     banned = {0b00000001, 0b10000000}  # closed under reversal, not rotation
-    [reversal] = group_maps(g, codes._symmetry_group(g, banned))
+    [reversal] = group_maps(g, codes._symmetry_group(g, codewords_outside(g, banned).mask))
     assert reversal[0b00000001] == 0b10000000
-    assert codes._symmetry_group(g, {0b00000001}) == []
-    assert len(codes._symmetry_group(g, dihedral_images(0b00000101, 8))) == 15
+    assert codes._symmetry_group(g, codewords_outside(g, {0b00000001}).mask) == []
+    assert len(codes._symmetry_group(g, codewords_outside(g, dihedral_images(0b00000101, 8)).mask)) == 15
 
 
 @settings(max_examples=200)
 @given(graph=induced_graphs(max_words=64), banned=st.sets(st.integers(0, 63), max_size=6))
 def test_group_keeps_only_generators_that_map_the_search_onto_itself(graph, banned):
     banned = {w for w in banned if w in graph.index}
-    group = codes._symmetry_group(graph, banned)
+    group = codes._symmetry_group(graph, codewords_outside(graph, banned).mask)
     if graph.n < 3:
         assert group == []
         return

@@ -15,6 +15,7 @@ from cubecodes import (
     build_graph,
     circulation,
     closed_neighborhood,
+    gen_fibonacci,
     gen_lucas,
     hamming_distance,
     parse_family,
@@ -207,9 +208,32 @@ def test_vertex_set_ids_are_the_set_bits_ascending(mask):
 
 
 def test_vertex_set_contains_ids():
-    vs = VertexSet.from_ids(build_graph(LUCAS, 3), [0])
+    vs = VertexSet.from_ids(build_graph(LUCAS, 3), [0, 3])
     assert 0 in vs
     assert 1 not in vs
+    # ids outside 0..len-1 are not members, on either side
+    assert all(i not in vs for i in (-1, -4, 4, 7))
+
+
+@pytest.mark.parametrize(
+    "graph_family, family, n",
+    [
+        (FIBONACCI, gen_lucas(3), 7),
+        (LUCAS, gen_fibonacci(3), 7),
+        (LUCAS, FIBONACCI, 6),
+        (HYPERCUBE, gen_lucas(2), 5),
+        (gen_lucas(4), gen_fibonacci(2), 6),
+        (HYPERCUBE, gen_lucas(6), 5),
+        (FIBONACCI, gen_fibonacci(9), 7),
+        (LUCAS, LUCAS, 1),
+        (HYPERCUBE, gen_lucas(1), 0),
+    ],
+    ids=str,
+)
+def test_vertex_set_from_family_is_the_listed_members(graph_family, family, n):
+    g = build_graph(graph_family, n)
+    expected = [g.index[bits] for bits in iter_family_bits(family, n) if bits in g.index]
+    assert VertexSet.from_family(g, family).ids() == expected
 
 
 @pytest.mark.parametrize(
