@@ -16,12 +16,14 @@ which differ in how soon they see a dead end.  Below COUNTED_MIN_VERTICES,
 uncovered vertices and usable blocks are bitmaps, and each node re-counts
 candidates by popcount in id order up to the first vertex with at most one
 usable block; a vertex left with none at a higher id is found only after
-the forced moves below it.  From COUNTED_MIN_VERTICES up, each vertex also
-keeps its count of usable blocks, a move decrements only the members of
-the blocks it drops, and a node is a dead end as soon as a count reaches
-0.  Below such a vertex the bitmap state makes only forced moves, with no
-branch point and no solution, so both give the same branch points, counts
-and witnesses, and the counted state searches fewer nodes.
+the forced moves below it.  From COUNTED_MIN_VERTICES up, every vertex's
+count of usable blocks is also kept, as a few bit planes over the ids: a
+move sums the masks of the blocks it drops into planes and subtracts them
+with one ripple borrow, a node reads the least count by narrowing the
+uncovered bitmap plane by plane, and it is a dead end as soon as a count
+reaches 0.  Below such a vertex the bitmap state makes only forced moves,
+with no branch point and no solution, so both give the same branch points,
+counts and witnesses, and the counted state searches fewer nodes.
 
 In first and prove_none mode the search skips subtrees that a symmetry maps
 onto a sibling already searched.  G is the group generated by the rotation
@@ -162,19 +164,20 @@ class SearchOutcome:
 # to date instead of re-counting them by popcount at every node.  Below it
 # the scan finds a forced vertex within a few popcounts, and the per-move
 # bookkeeping costs more than it saves.  Counted / bitmap time of a full
-# search (best of 21 interleaved runs, 2-CPU host, Python 3.11):
+# search (enumerate, best of 21 interleaved runs, busy 2-CPU host,
+# Python 3.11):
 #
 #   vertices  graph                                   counted / bitmap
-#   76-89     Lucas n=9, Fibonacci n=9                0.96-1.04
-#   99-128    the n=7 graphs: Q7, lucas1s:4..7,       1.25-2.54
+#   76-89     Lucas n=9, Fibonacci n=9                0.84-0.96
+#   99-128    the n=7 graphs: Q7, lucas1s:4..7,       1.24-2.17
 #             fib1s:5..7
-#   123       Lucas n=10                              0.92-0.97
-#   131-149   lucas1s:3 n=8, Fibonacci n=10,          0.75-0.83
+#   123       Lucas n=10                              0.98
+#   131-149   lucas1s:3 n=8, Fibonacci n=10,          0.48-0.86
 #             fib1s:3 n=8
-#   191-208   lucas1s:4 n=8, Lucas n=11, fib1s:4 n=8  0.48-0.62
-#   223-256   lucas1s:5..7 n=8, fib1s:5..7 n=8,       0.41-0.67
+#   191-208   lucas1s:4 n=8, Lucas n=11, fib1s:4 n=8  0.45-0.61
+#   223-256   lucas1s:5..7 n=8, fib1s:5..7 n=8,       0.38-0.57
 #             Fibonacci n=11, Q8
-#   322       Lucas n=12                              0.44
+#   322       Lucas n=12                              0.43
 #
 # Lucas and Fibonacci graphs break even near 90 vertices, but the n=7
 # graphs, which branch more and prune less, do not; every graph measured
@@ -228,10 +231,6 @@ _MAX_SUBTREES = 1024
 # run() status of a search that stopped to hand out its open subtrees.
 _SPLIT = "split"
 
-# Count held by a covered vertex: larger than any candidate count, even
-# after the decrements of the move that covers it.
-_COVERED = 1 << 62
-
 
 class _Blocks:
     """The closed-neighborhood blocks N[v] of one graph, as bitmaps over ids.
@@ -242,7 +241,6 @@ class _Blocks:
     def __init__(self, graph: InducedGraph):
         check_cap("engine_cap", len(graph), f"a search on {len(graph)} vertices")
         self.masks = [graph.closed_mask(i) for i in range(len(graph))]
-        self.members: list[tuple[int, ...]] | None = None
         self._ball2: dict[int, int] = {}
 
     def conflicts(self, v: int) -> int:
@@ -297,91 +295,87 @@ class _BitmapCover:
         self.available &= ~self.blocks.conflicts(v)
 
 
-class _CountedCover:
-    """Cover state that keeps each vertex's candidate count up to date.
+def _sum_blocks(masks: list[int], ids: int) -> list[int]:
+    """Bit planes of how many of the blocks in the id bitmap ids cover each vertex.
 
-    counts[u] is the number of usable blocks covering the uncovered vertex u;
-    covered vertices hold _COVERED.  low holds the uncovered vertices whose
-    count is exactly 1.  A move decrements only the members of the blocks it
-    drops.  A state is dead once some uncovered vertex has no usable block:
-    root() starts dead when a vertex has no allowed block, and take() turns
-    dead at the decrement that reaches 0 and stops there, leaving the other
-    fields stale.  A dead state is a dead end: select() gives no candidates,
-    so it is never a branch base, and its uncovered bitmap still holds the
-    vertex, so it never reads as a solution.  Otherwise select() reads the
-    same vertex the popcount scan would.
+    Plane i holds bit i of every vertex's count; each block is added with a
+    ripple carry, and there are just enough planes for the largest count.
+    """
+    planes: list[int] = []
+    while ids:
+        low = ids & -ids
+        ids ^= low
+        carry = masks[low.bit_length() - 1]
+        for i, p in enumerate(planes):
+            planes[i] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+class _CountedCover:
+    """Cover state that keeps each vertex's count of usable blocks as bit planes.
+
+    planes[i] is a bitmap over the ids that holds bit i of every vertex's
+    count.  An available block never holds a covered vertex: a block
+    through a vertex of N[c] overlaps N[c], so it was dropped when c was
+    taken.  So a covered vertex counts 0, and a move, which subtracts the
+    counts of the blocks it drops, never borrows past the top plane; the
+    root's largest count, at most n + 1, sets how many planes there are.
+    select() reads the uncovered vertex of least count, the lowest id among
+    equals, as the popcount scan would; one with no usable block gives no
+    candidates, so the node is a dead end as soon as a count reaches 0.
     """
 
-    __slots__ = ("blocks", "uncovered", "available", "counts", "low", "dead")
+    __slots__ = ("blocks", "uncovered", "available", "planes")
 
-    def __init__(self, blocks: _Blocks, uncovered: int, available: int, counts: list[int], low: int,
-                 dead: bool = False):
+    def __init__(self, blocks: _Blocks, uncovered: int, available: int, planes: list[int]):
         self.blocks = blocks
         self.uncovered = uncovered
         self.available = available
-        self.counts = counts
-        self.low = low
-        self.dead = dead
+        self.planes = planes
 
     @classmethod
     def root(cls, blocks: _Blocks, available: int) -> _CountedCover:
         masks = blocks.masks
-        ids = list(range(len(masks)))  # one int object per id, shared by all blocks
-        members = []
-        for mask in masks:
-            block = []
-            while mask:
-                low = mask & -mask
-                block.append(ids[low.bit_length() - 1])
-                mask ^= low
-            members.append(tuple(block))
-        blocks.members = members
-        counts = [(mask & available).bit_count() for mask in masks]
-        low = 0
-        for u, c in enumerate(counts):
-            if c == 1:
-                low |= 1 << u
-        return cls(blocks, (1 << len(masks)) - 1, available, counts, low, 0 in counts)
+        return cls(blocks, (1 << len(masks)) - 1, available, _sum_blocks(masks, available))
 
     def copy(self) -> _CountedCover:
-        return _CountedCover(self.blocks, self.uncovered, self.available, self.counts.copy(), self.low)
+        return _CountedCover(self.blocks, self.uncovered, self.available, self.planes.copy())
 
     def select(self) -> int:
         """Usable blocks covering the vertex the search decides on next."""
-        if self.dead:
-            return 0
-        low = self.low
-        if low:
-            u = (low & -low).bit_length() - 1
-        else:
-            counts = self.counts
-            u = counts.index(min(counts))
-        return self.blocks.masks[u] & self.available
+        m = self.uncovered
+        for p in reversed(self.planes):
+            clear = m & ~p
+            if clear:
+                m = clear
+        return self.blocks.masks[(m & -m).bit_length() - 1] & self.available
 
     def take(self, v: int):
         """Choose block v: cover N[v] and drop every block that overlaps it."""
         blocks = self.blocks
-        members = blocks.members
-        counts = self.counts
-        for x in members[v]:
-            counts[x] = _COVERED
         gone = blocks.conflicts(v)
-        dropped = gone & self.available
-        low = self.low
-        while dropped:
-            bit = dropped & -dropped
-            dropped ^= bit
-            for x in members[bit.bit_length() - 1]:
-                c = counts[x] - 1
-                counts[x] = c
-                if c <= 1:
-                    if not c:
-                        self.dead = True
-                        return
-                    low |= 1 << x
+        dropped = _sum_blocks(blocks.masks, gone & self.available)
+        planes = self.planes
+        # planes -= dropped: one full subtractor per plane, on every vertex at once.
+        borrow = 0
+        for i, d in enumerate(dropped):
+            p = planes[i]
+            x = p ^ d
+            planes[i] = x ^ borrow
+            borrow = (d & ~p) | (borrow & ~x)
+        i = len(dropped)
+        while borrow:
+            p = planes[i]
+            planes[i] = p ^ borrow
+            borrow &= ~p
+            i += 1
         self.uncovered &= ~blocks.masks[v]
         self.available &= ~gone
-        self.low = low & self.uncovered
 
 
 # Bit order reversed within each byte value.

@@ -494,6 +494,75 @@ def test_counted_state_stops_at_a_vertex_without_blocks():
         assert bitmap.nodes > 1
 
 
+def check_planes(state):
+    """The counted state's bit planes against a recount of its usable blocks.
+
+    Each uncovered vertex counts the available blocks that cover it, each
+    covered vertex 0, and select() names the uncovered vertex of least
+    count, the lowest id among equals.
+    """
+    masks = state.blocks.masks
+    ids = range(len(masks))
+    counts = [(masks[u] & state.available).bit_count() if state.uncovered >> u & 1 else 0 for u in ids]
+    assert [sum((p >> u & 1) << i for i, p in enumerate(state.planes)) for u in ids] == counts
+    if state.uncovered:
+        least = min((u for u in ids if state.uncovered >> u & 1), key=counts.__getitem__)
+        assert state.select() == masks[least] & state.available
+
+
+def walk_counted_cover(graph, allowed, rnd, walks=4):
+    """Random moves from the root of the counted state, checked after every one.
+
+    Before some moves the state is copied, and each walk after the first
+    goes on from the last copy left, which the moves since must not have
+    touched.
+    """
+    root = codes._CountedCover.root(codes._Blocks(graph), allowed)
+    copies = [(root, list(root.planes))]
+    for _ in range(walks):
+        if not copies:
+            break
+        state, planes = copies.pop()
+        assert state.planes == planes
+        check_planes(state)
+        while state.available:
+            if rnd.random() < 0.25:
+                copies.append((state.copy(), list(state.planes)))
+            state.take(rnd.choice(VertexSet(graph, state.available).ids()))
+            check_planes(state)
+
+
+@settings(max_examples=100)
+@given(graph=induced_graphs(max_words=64), data=st.data())
+def test_plane_counts_match_a_recount_on_random_graphs(graph, data):
+    allowed = data.draw(st.integers(0, (1 << len(graph)) - 1))
+    walk_counted_cover(graph, allowed, data.draw(st.randoms(use_true_random=False)))
+
+
+def test_plane_counts_match_a_recount_on_families():
+    rnd = random.Random(1)
+    for family in (HYPERCUBE, FIBONACCI, LUCAS):
+        for n in range(0, 13 if family is not HYPERCUBE else 9):
+            g = build_graph(family, n)
+            full = (1 << len(g)) - 1
+            for allowed in (full, full & ~(1 << rnd.randrange(len(g))), rnd.getrandbits(len(g))):
+                walk_counted_cover(g, allowed, rnd)
+
+
+def test_counted_state_holds_a_count_of_63():
+    # 0^62 and its 62 neighbours: N[0^62] is the whole graph, so the root
+    # counts 63 blocks there, which takes a sixth plane.
+    star = InducedGraph(62, [0] + [1 << b for b in range(62)])
+    root = codes._CountedCover.root(codes._Blocks(star), (1 << 63) - 1)
+    assert len(root.planes) == 6
+    walk_counted_cover(star, (1 << 63) - 1, random.Random(3))
+    assert count_perfect_codes_dfs(star) == 1
+    enumerated = forced_search(star, None, "enumerate", True, collect_witnesses=True)
+    assert (enumerated.status, enumerated.count) == ("enumerated", 1)
+    assert [w.words() for w in enumerated.witnesses] == [[BitWord(62, 0)]]
+    assert forced_search(star, None, "first", True).witness.words() == [BitWord(62, 0)]
+
+
 def test_split_node_counts_are_pinned(monkeypatch):
     # Long enough to split on a host with two CPUs; the tree stays the serial
     # one, plain and pruned by symmetry.
@@ -805,6 +874,22 @@ def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
         assert pruned.status == ("found" if exists else "exhausted")
         assert _verdict(pruned) == _verdict(plain[mode])
         assert pruned.nodes <= plain[mode].nodes
+
+
+def test_branch_point_cut_to_one_candidate_is_pushed():
+    # Q7 less 0^7, 1^7 and the rotations of 0000101, with no codeword of
+    # weight one: a branch point of this search is cut to one candidate.
+    # Pushed, it starts a new segment of chosen blocks for the groups
+    # below it; taken as a forced move instead, their groups would be cut
+    # against the merged segment, a larger stabilizer, and the search would
+    # end in 10 nodes.
+    cut = {0, 0b1111111} | dihedral_images(0b0000101, 7)
+    g = InducedGraph(7, [w for w in range(128) if w not in cut])
+    codewords = codewords_outside(g, dihedral_images(0b0000001, 7))
+    assert count_perfect_codes_dfs(g, codewords) == 0
+    for mode in ("first", "prove_none"):
+        outs = search_both(g, codewords, mode)
+        assert [(out.status, out.nodes) for out in outs] == 2 * [("exhausted", 11)], mode
 
 
 def test_group_of_each_family():

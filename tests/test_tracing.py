@@ -67,3 +67,22 @@ def test_tracer_measures_the_punctured_constructions(capsys, monkeypatch):
     capsys.readouterr()
     assert totals["codes.validate_calls"] == 4  # p = 2, 3 at s = n-1 and n-2
     assert totals["hamming.construct_s"] > 0 and totals["graphs.build_s"] > 0
+
+
+def test_tracer_measures_a_search_in_the_counted_state(capsys, monkeypatch):
+    # Lucas n=12 has 322 vertices, so its search runs the counted cover
+    # state, whose blocks are built with closed_mask as the bitmap state's are.
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer(
+        dict(words=words, graphs=graphs, codes=codes, hamming=hamming, claims=claims, cli=cli)
+    )
+    tracer.install()
+    try:
+        argv = ["search", "--family", "lucas", "--n", "12", "--mode", "prove-none"]
+        assert tracer.op(cli.main, argv) == 3
+        totals = tracer.pass_totals()
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert len(graphs.build_graph(words.LUCAS, 12)) >= codes.COUNTED_MIN_VERTICES
+    assert totals["graphs.masks_s"] > 0 and totals["codes.nodes"] == 140
