@@ -138,7 +138,7 @@ def _nonexistence_scan(claim, family, n_max, node_budget, time_budget):
 
     def body():
         _require(n_max >= 4, n_max=n_max, stage="precondition n_max >= 4")
-        nodes = 0
+        nodes_by_n = {}  # keyed by str(n), as JSON would key it
         for n in range(n_max + 1):
             graph = build_graph(family, n)
             # A first-code search that finds none has proved that none exists.
@@ -154,8 +154,13 @@ def _nonexistence_scan(claim, family, n_max, node_budget, time_budget):
                 if family is LUCAS:
                     witness = [str(w) for w in outcome.witness.words()]
                     _require(witness == ["0" * n], n=n, witness=witness)
-            nodes += outcome.nodes
-        return {"found_up_to": 3, "exhausted_range": [4, n_max], "nodes": nodes}
+            nodes_by_n[str(n)] = outcome.nodes
+        return {
+            "found_up_to": 3,
+            "exhausted_range": [4, n_max],
+            "nodes": sum(nodes_by_n.values()),
+            "nodes_by_n": nodes_by_n,
+        }
 
     return _report(claim, params, body)
 

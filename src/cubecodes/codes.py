@@ -25,31 +25,39 @@ reaches 0.  Below such a vertex the bitmap state makes only forced moves,
 with no branch point and no solution, so both give the same branch points,
 counts and witnesses, and the counted state searches fewer nodes.
 
-In first and prove_none mode the search skips subtrees that a symmetry maps
-onto a sibling already searched.  G is the group generated by the rotation
-of the n coordinates and their reversal, each kept only if it maps the
-vertex set and the set of allowed blocks onto themselves; it is built once
-per search, checking each generator in O(V), and a generator that fails is
-dropped.  A coordinate permutation moves no Hamming distance, so every
-element of G is an automorphism of the graph that maps allowed blocks to
-allowed blocks.  For lucas, lucas1s:s, and qn (also with the codewords held
-to a rotation- and reversal-invariant set, such as the members of
-lucas1s:s) G is the dihedral group of order 2n; for fib and fib1s:s
-(s < n), whose runs are linear, the reversal alone.  Each branch point carries a group H of elements that map
-the blocks chosen above it onto themselves: the elements of the H of the
-branch point above (G for the first one) that map the blocks taken since
-onto themselves.  If g in H maps candidate c to a later candidate c', then
-g maps the codes that contain the chosen blocks and c onto those that
-contain them and c', so the subtree of c' holds a code iff that of c does;
-and the search went through c's subtree without finding one, or it would
-have stopped.  So a branch point tries only the first candidate of each
-H-orbit, in candidate order; its H and that cut are worked out when the
-search pushes it.  This only removes subtrees: the MRV choices, the
-candidate order, statuses and first-mode witnesses, seeded or not, are
-those of the plain tree, and nodes, which counts the pruned tree, can only
-fall.  H depends only on the path to a node, so a split leaves the tree as
-it is.  enumerate searches the plain tree: counting codes this way would
-need the size of every skipped orbit.
+The search skips subtrees that a symmetry maps onto a sibling already
+searched, and enumerate counts each subtree it keeps once for every one it
+stands for.  G is the group generated by the rotation of the n coordinates
+and their reversal, each kept only if it maps the vertex set and the set of
+allowed blocks onto themselves; it is built once per search, checking each
+generator in O(V), and a generator that fails is dropped.  A coordinate
+permutation moves no Hamming distance, so every element of G is an
+automorphism of the graph that maps allowed blocks to allowed blocks.  For
+lucas, lucas1s:s, and qn (also with the codewords held to a rotation- and
+reversal-invariant set, such as the members of lucas1s:s) G is the
+dihedral group of order 2n; for fib and fib1s:s (s < n), whose runs are
+linear, the reversal alone.  Each branch point carries a group H of
+elements that map the blocks chosen above it onto themselves: the elements
+of the H of the branch point above (G for the first one) that map the
+blocks taken since onto themselves.  If g in H maps candidate c to a later
+candidate c', then g maps the codes that contain the chosen blocks and c
+one-to-one onto those that contain them and c', so the subtree of c' holds
+as many codes as that of c; in first and prove_none mode the search went
+through c's subtree without finding one, or it would have stopped.  So a
+branch point tries only the first candidate of each H-orbit, in candidate
+order; its H and that cut are worked out when the search pushes it.  Each
+node carries a weight, 1 at the root: a kept candidate c gets its branch
+point's weight times |H.c & candidates|, the number of candidates its
+orbit holds, and a code found counts its weight.  The candidates all cover
+the vertex decided on, so no code contains two of them, and the weighted
+count is the count of the plain tree (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  This only removes subtrees: the MRV
+choices, the candidate order, statuses, counts and first-mode witnesses,
+seeded or not, are those of the plain tree, and nodes, which counts the
+pruned tree, can only fall.  H and the weight depend only on the path to a
+node, so a split leaves the tree as it is.  An enumeration that lists its
+codes searches the plain tree, as the pruned one reaches only one code of
+each orbit.
 
 A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
 hands its open subtrees to forked worker processes, which run the same loop
@@ -164,8 +172,8 @@ class SearchOutcome:
 # to date instead of re-counting them by popcount at every node.  Below it
 # the scan finds a forced vertex within a few popcounts, and the per-move
 # bookkeeping costs more than it saves.  Counted / bitmap time of a full
-# search (enumerate, best of 21 interleaved runs, busy 2-CPU host,
-# Python 3.11):
+# search (enumerate on the plain tree, before it was pruned by symmetry;
+# best of 21 interleaved runs, busy 2-CPU host, Python 3.11):
 #
 #   vertices  graph                                   counted / bitmap
 #   76-89     Lucas n=9, Fibonacci n=9                0.84-0.96
@@ -181,7 +189,9 @@ class SearchOutcome:
 #
 # Lucas and Fibonacci graphs break even near 90 vertices, but the n=7
 # graphs, which branch more and prune less, do not; every graph measured
-# above 128 vertices (Q7's count) gains.
+# above 128 vertices (Q7's count) gains.  On the weighted, symmetry-pruned
+# enumerate tree the n=7 graphs still lose (two rounds, same method): Q7
+# 1.81-1.97, lucas1s:7 1.65-2.14, fib1s:6 1.90-2.15, lucas1s:4 1.14-1.17.
 COUNTED_MIN_VERTICES = 129
 
 # The search reads the clock every CHECK_EVERY nodes, for its deadline and
@@ -217,10 +227,13 @@ CHECK_EVERY = 32
 #   20 ms        4     0.0710-0.0726 s          0.204-0.209 s
 #   30 ms        4     0.0748-0.0764 s          0.213-0.219 s
 #
-# 10-20 ms gain about 5%, but the longest search of the n=7 graphs, the
-# 3,169-node enumeration of Q7 (6.5 ms on a quiet host), then splits on a
-# busy host: at 20 ms it split in 2 of 300 runs that took 9-34 ms (median
-# 16 ms), at 30 ms in none, so 30 ms is kept.
+# 10-20 ms gained about 5% on the plain tree, but on the pruned tree Lucas
+# n=15 gains nothing at 10 or 20 ms (above), and a change moves the split of
+# every refute search that runs near it.  The n=7 graphs do not bear on
+# the choice: enumerate is pruned by symmetry too, and their longest search,
+# the 1,559-node enumeration of lucas1s:7 or fib1s:7, takes about 4 ms
+# (Q7's, 635 nodes, about 2 ms; best of 21 runs on a busy host), far below
+# any of these values.  So 30 ms is kept.
 SPLIT_AFTER_S = 0.03
 
 # At most this many open subtrees are handed out: their indices, 4 bytes
@@ -460,19 +473,26 @@ class _Orbits:
                 kept.append(g)
         return kept
 
-    def firsts(self, group: list, tries: list[int]) -> list[int]:
-        """The first of tries in each orbit of the group, in the order of tries."""
+    def firsts(self, group: list, tries: list[int]) -> tuple[list[int], list[int]]:
+        """The first of tries in each orbit of the group, in the order of tries,
+        and how many of tries each of those orbits holds."""
         words = self.words
         full = self.full
-        seen = set()
+        last = tries[-1]
+        orbit_of: dict[int, int] = {}  # word -> index of its orbit's first try
         firsts = []
-        for x in tries[:-1]:
-            if words[x] not in seen:
-                firsts.append(x)
-                seen.update([((source[x] << k) | (source[x] >> m)) & full for source, k, m in group])
-        if words[tries[-1]] not in seen:
-            firsts.append(tries[-1])
-        return firsts
+        sizes = []
+        for x in tries:
+            j = orbit_of.get(words[x])
+            if j is not None:
+                sizes[j] += 1
+                continue
+            if x != last:  # no later try to look up
+                j = len(firsts)
+                orbit_of.update({((source[x] << k) | (source[x] >> m)) & full: j for source, k, m in group})
+            firsts.append(x)
+            sizes.append(1)
+        return firsts, sizes
 
 
 class _CoverSearch:
@@ -493,7 +513,7 @@ class _CoverSearch:
         # above, origin of the subtree's first node).
         self.subtrees: list[tuple] = []
 
-    def run(self, state, chosen: list[int], origin: tuple[list, int]) -> str | None:
+    def run(self, state, chosen: list[int], origin: tuple[list, int, int]) -> str | None:
         """Search below state; STATUS_FOUND, STATUS_BUDGET or _SPLIT, or None once complete.
 
         chosen holds the blocks taken above state, and grows as the search
@@ -504,12 +524,16 @@ class _CoverSearch:
         read, every CHECK_EVERY nodes, past split_at, the run keeps its open
         subtrees and stops.
 
-        A frame is [state, candidates, next index, len(chosen), group].  A
-        node's origin is the (group, len(chosen)) of the frame it descends
-        from, at first the given one.  When a frame is pushed, chosen holds
-        exactly the blocks above it, so its group H is the origin's group
-        cut down to the elements that map chosen[depth:] onto themselves,
-        and its candidates are cut to the first of each H-orbit.  A frame
+        A frame is [state, candidates, next index, len(chosen), group,
+        weight, orbit sizes].  A node's origin is the group and len(chosen)
+        of the frame it descends from and the node's own weight, at first
+        the given one.  When a frame is pushed, chosen holds exactly the
+        blocks above it, so its group H is the origin's group cut down to
+        the elements that map chosen[depth:] onto themselves, and its
+        candidates are cut to the first of each H-orbit; its orbit sizes
+        count the candidates in each kept one's orbit, None where H is
+        empty.  A child's weight is the frame's weight times its orbit
+        size, and a code found adds its node's weight to count.  A frame
         the cut leaves one candidate is still pushed, not made a forced
         move: that would merge two segments of chosen into one, whose
         stabilizer can be larger than the chain of the two, and so change
@@ -536,7 +560,7 @@ class _CoverSearch:
                 if node_budget is not None and nodes > node_budget:
                     return STATUS_BUDGET
                 if not state.uncovered:
-                    self.count += 1
+                    self.count += origin[2]
                     if self.solutions is not None:
                         self.solutions.append(tuple(chosen))
                     if self.stop_at_first:
@@ -546,12 +570,13 @@ class _CoverSearch:
                     cands = state.select()
                     if cands & (cands - 1):
                         tries = self._ordered(cands)
-                        group, depth = origin
+                        group, depth, weight = origin
+                        sizes = None
                         if group:
                             group = orbits.stabilizer(group, chosen[depth:])
                             if group:
-                                tries = orbits.firsts(group, tries)
-                        stack.append([state, tries, 0, len(chosen), group])
+                                tries, sizes = orbits.firsts(group, tries)
+                        stack.append([state, tries, 0, len(chosen), group, weight, sizes])
                     elif cands:
                         v = cands.bit_length() - 1
                         state.take(v)
@@ -560,14 +585,14 @@ class _CoverSearch:
                 if not stack:
                     return None
                 frame = stack[-1]
-                base, tries, i, depth, group = frame
+                base, tries, i, depth, group, weight, sizes = frame
                 if i + 1 < len(tries):
                     frame[2] = i + 1
                     state = base.copy()
                 else:
                     stack.pop()
                     state = base
-                origin = group, depth
+                origin = group, depth, (weight * sizes[i] if sizes else weight)
                 del chosen[depth:]
                 v = tries[i]
                 state.take(v)
@@ -580,15 +605,18 @@ class _CoverSearch:
 
         The node about to be searched comes first, with its origin, then,
         for each frame from the top of the stack down, its untried
-        candidates tries[i:], each with the frame's group and depth as its
-        origin.
+        candidates tries[i:], each with the frame's group and depth and its
+        own weight as its origin.
         """
-        if not 2 <= 1 + sum(len(tries) - i for _, tries, i, _, _ in stack) <= _MAX_SUBTREES:
+        if not 2 <= 1 + sum(len(frame[1]) - frame[2] for frame in stack) <= _MAX_SUBTREES:
             return False
         subtrees = [(state, None, tuple(chosen), origin)]
-        for base, tries, i, depth, group in reversed(stack):
+        for base, tries, i, depth, group, weight, sizes in reversed(stack):
             above = tuple(chosen[:depth])
-            subtrees.extend((base, v, above, (group, depth)) for v in tries[i:])
+            subtrees.extend(
+                (base, tries[j], above, (group, depth, weight * sizes[j] if sizes else weight))
+                for j in range(i, len(tries))
+            )
         self.subtrees = subtrees
         return True
 
@@ -780,7 +808,8 @@ def search_constrained(
     (which stays one global count) splits over the _split_workers()
     processes, if more than one, at the first clock read, every CHECK_EVERY
     nodes, past SPLIT_AFTER_S that finds at least two open subtrees, and
-    first and prove_none mode prune by the group _symmetry_group builds.
+    every search but one that collects witnesses prunes by the group
+    _symmetry_group builds.
     """
     if node_budget is None:
         node_budget = default_node_budget()
@@ -800,8 +829,9 @@ def search_constrained(
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
     split_at = started + SPLIT_AFTER_S if workers > 1 else None
-    # enumerate counts every code, so it searches the plain tree
-    orbits = _Orbits(graph, allowed) if mode != MODE_ENUMERATE else None
+    collect = collect_witnesses and mode == MODE_ENUMERATE
+    # A list of every code needs the plain tree: the pruned one reaches one code per orbit.
+    orbits = None if collect else _Orbits(graph, allowed)
     if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
     else:
@@ -811,11 +841,11 @@ def search_constrained(
         node_budget,
         deadline,
         mode in (MODE_FIRST, MODE_PROVE_NONE),
-        collect_witnesses and mode == MODE_ENUMERATE,
+        collect,
         split_at,
         orbits,
     )
-    status = search.run(root, [], (orbits.group if orbits else [], 0))
+    status = search.run(root, [], (orbits.group if orbits else [], 0, 1))
     if status == _SPLIT:
         status = _run_split(search, workers)
     if status is None:

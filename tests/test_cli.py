@@ -323,6 +323,20 @@ def test_verify_single_claim(capsys):
     assert payload[0]["verdict"] == "pass"
 
 
+def test_verify_reports_the_nodes_of_each_n(capsys):
+    # thm-main gives the nodes of each n's search beside their total, and
+    # no time, so two runs print the same bytes.
+    argv = ["verify", "--claim", "thm-main", "--n-max", "8", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    [report] = json.loads(out)
+    assert report["verdict"] == "pass"
+    evidence = report["evidence"]
+    assert evidence["nodes_by_n"] == {str(n): nodes for n, nodes in enumerate([2, 2, 2, 2, 6, 7, 11, 22, 41])}
+    assert evidence["nodes"] == sum(evidence["nodes_by_n"].values()) == 95
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
 def test_verify_unknown_claim_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--claim", "prop-none-such"])

@@ -390,7 +390,10 @@ def search_split(graph, codewords, mode, **kwargs):
 
 
 def check_against_oracles(graph, codewords=None, seeds=(0, 5)):
-    """Enumerate and first mode, serial and split; counts must match the oracles."""
+    """Enumerate, listing the codes and weighted, and first mode, serial and split.
+
+    Counts must match the oracles.
+    """
     count = None
     for seed in seeds:
         out, _ = search_split(graph, codewords, "enumerate", seed=seed, collect_witnesses=True)
@@ -400,6 +403,8 @@ def check_against_oracles(graph, codewords=None, seeds=(0, 5)):
         for witness in out.witnesses:
             assert is_perfect_code(graph, witness)
             assert codewords is None or witness.mask & ~codewords.mask == 0
+        weighted, _ = search_split(graph, codewords, "enumerate", seed=seed)
+        assert (weighted.status, weighted.count) == ("enumerated", count)
         first, _ = search_split(graph, codewords, "first", seed=seed)
         if count:
             assert first.status == "found" and is_perfect_code(graph, first.witness)
@@ -417,13 +422,16 @@ def test_representations_agree_on_families():
             g = build_graph(family, n)
             if len(g) <= 128:
                 check_against_oracles(g)
-            else:  # Q8 is exhausted in 712 nodes; Q9 needs far more
+            else:  # Q8 is exhausted in 120 nodes, 712 on the plain tree; Q9 needs far more
                 outs = search_both(g, None, "enumerate", node_budget=3000)
                 assert [(out.status, out.nodes) for out in outs] == 2 * [
-                    ("enumerated", 712) if n == 8 else ("budget-exceeded", 3001)
+                    ("enumerated", 120) if n == 8 else ("budget-exceeded", 3001)
                 ]
                 if n == 8:
-                    assert [out.nodes for out in search_split(g, None, "enumerate")] == [712, 712]
+                    assert [out.nodes for out in search_split(g, None, "enumerate")] == [120, 120]
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(codes, "_symmetry_group", no_symmetry)
+                        assert [out.nodes for out in search_split(g, None, "enumerate")] == [712, 712]
     for s in range(2, 8):
         for family in (gen_lucas(s), gen_fibonacci(s)):
             check_against_oracles(build_graph(family, 7), seeds=(0, s))
@@ -451,8 +459,8 @@ def test_node_counts_are_pinned(monkeypatch):
     # Sizes of the MRV search tree, bitmap and counted state, first plain
     # and then pruned by symmetry: a change to the selection rule, the
     # tie-break, the candidate order, the dead-end test or the group moves
-    # them.  Enumerate searches the plain tree.  Split runs of the pruned
-    # tree are checked at every split point further down.
+    # them.  Split runs of the pruned tree are checked at every split point
+    # further down.
     for family, n, mode, plain, pruned in (
         (LUCAS, 10, "prove_none", (142, 95), (116, 77)),
         (LUCAS, 12, "prove_none", (521, 303), (223, 140)),
@@ -460,7 +468,7 @@ def test_node_counts_are_pinned(monkeypatch):
         (LUCAS, 14, "prove_none", (3919, 1896), (2958, 1427)),
         (FIBONACCI, 12, "prove_none", (659, 332), (410, 224)),
         (FIBONACCI, 13, "prove_none", (1835, 899), (1835, 899)),
-        (HYPERCUBE, 7, "enumerate", (3169, 3169), (3169, 3169)),
+        (HYPERCUBE, 7, "enumerate", (3169, 3169), (635, 635)),
     ):
         g = build_graph(family, n)
         state = 1 if len(g) >= COUNTED_MIN_VERTICES else 0
@@ -724,8 +732,9 @@ def test_split_uses_every_cpu_and_only_one_thread(counted_forks, monkeypatch):
 
 def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
     # Split workers reuse the parent's group through run_subtree; the counter
-    # sees only this process's builds.  enumerate searches the plain tree and
-    # builds none, and a first-mode search that never backtracks builds one.
+    # sees only this process's builds.  An enumeration that lists its codes
+    # searches the plain tree and builds none, and a first-mode search that
+    # never backtracks builds one.
     builds = []
     symmetry_group = codes._symmetry_group
 
@@ -744,6 +753,9 @@ def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
             assert (len(builds), len(counted_forks)) == (1, forks), (mode, node_budget)
     builds.clear()
     assert find_perfect_code(g, "enumerate").count == 0
+    assert builds == [1]
+    builds.clear()
+    assert find_perfect_code(g, "enumerate", collect_witnesses=True).witnesses == []
     assert builds == []
     out = find_perfect_code(disjoint_k2_pieces(8), "first")
     assert (out.status, out.nodes, len(builds)) == ("found", 9, 1)
@@ -802,21 +814,32 @@ def expected_group_size(graph, banned):
 
 
 def audit_pruning(patch):
-    """Check at each pruning branch point that every element of its group fixes the chosen blocks.
+    """Check each pruning branch point's group and cut.
 
-    That is what makes a skipped candidate safe.  The pruning sees only the
-    blocks taken since the branch point above, so the test reads all chosen
-    blocks from the caller, _CoverSearch.run, where they are exactly the
-    blocks above the frame being pushed.
+    Every element of the group must fix the chosen blocks: that is what
+    makes a skipped candidate safe.  The pruning sees only the blocks taken
+    since the branch point above, so the test reads all chosen blocks from
+    the caller, _CoverSearch.run, where they are exactly the blocks above
+    the frame being pushed.  The kept candidates must be the first of each
+    orbit, and each orbit size, a kept candidate's weight factor, the
+    number of candidates in its orbit.
     """
     firsts = codes._Orbits.firsts
 
     def audited(orbits, group, tries):
         chosen = sys._getframe(1).f_locals["chosen"]
-        taken = {orbits.words[x] for x in chosen}
+        words = orbits.words
+        taken = {words[x] for x in chosen}
         for source, k, m in group:
             assert {((source[x] << k) | (source[x] >> m)) & orbits.full for x in chosen} == taken
-        return firsts(orbits, group, tries)
+        kept, sizes = firsts(orbits, group, tries)
+
+        def orbit(x):
+            return {words[x]} | {((source[x] << k) | (source[x] >> m)) & orbits.full for source, k, m in group}
+
+        assert kept == [x for i, x in enumerate(tries) if not any(words[x] in orbit(y) for y in tries[:i])]
+        assert sizes == [sum(words[y] in orbit(x) for y in tries) for x in kept]
+        return kept, sizes
 
     patch.setattr(codes._Orbits, "firsts", audited)
 
@@ -860,20 +883,60 @@ def symmetric_searches(draw):
 @example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 0))
 @example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 5))
 def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
+    # Statuses, witnesses and enumerate's weighted count are those of the
+    # plain tree and the DFS oracle; the pruned tree is never larger.
     graph, banned, seed = case
     codewords = codewords_outside(graph, banned)
     assert len(codes._symmetry_group(graph, codewords.mask)) == expected_group_size(graph, banned) > 0
-    exists = count_perfect_codes_dfs(graph, codewords) > 0
+    count = count_perfect_codes_dfs(graph, codewords)
+    modes = ("first", "prove_none", "enumerate")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codes, "_symmetry_group", no_symmetry)
-        plain = {mode: search_constrained(graph, codewords, mode, seed=seed) for mode in ("first", "prove_none")}
-    for mode in ("first", "prove_none"):
+        plain = {mode: search_constrained(graph, codewords, mode, seed=seed) for mode in modes}
+    for mode in modes:
         with pytest.MonkeyPatch.context() as patch:
             audit_pruning(patch)
             pruned = search_constrained(graph, codewords, mode, seed=seed)
-        assert pruned.status == ("found" if exists else "exhausted")
+        if mode == "enumerate":
+            assert (pruned.status, pruned.count) == ("enumerated", count)
+        else:
+            assert pruned.status == ("found" if count else "exhausted")
         assert _verdict(pruned) == _verdict(plain[mode])
         assert pruned.nodes <= plain[mode].nodes
+
+
+@pytest.mark.parametrize(
+    "family, counted, count", [(HYPERCUBE, True, 240), (gen_lucas(7), False, 210)], ids=["qn", "lucas1s:7"],
+)
+def test_weighted_enumerate_split_at_every_point_is_the_serial_run(family, counted, count):
+    # A split subtree carries its first node's weight in its origin, so the
+    # merged count, like the node count, is the serial one wherever the
+    # split falls, in either cover state.
+    g = build_graph(family, 7)
+    serial = forced_search(g, None, "enumerate", counted)
+    assert serial.count == count == count_perfect_codes_dfs(g)
+    for check_every in range(1, serial.nodes):
+        split = forced_search(
+            g, None, "enumerate", counted, split_after=0.0, workers=2, check_every=check_every,
+        )
+        assert _fingerprint(split) == _fingerprint(serial), check_every
+
+
+def test_listed_codes_are_every_code():
+    # The pruned tree reaches one code of each orbit, so listing the codes
+    # searches the plain tree: all 240 codes of Q7, closed under the group.
+    q7 = build_graph(HYPERCUBE, 7)
+    weighted = find_perfect_code(q7, "enumerate")
+    listed = find_perfect_code(q7, "enumerate", collect_witnesses=True)
+    assert (weighted.count, weighted.nodes) == (240, 635)
+    assert (listed.count, listed.nodes) == (240, 3169)
+    found = {frozenset(q7.vertices[i] for i in w.ids()) for w in listed.witnesses}
+    assert len(found) == 240 == count_perfect_codes_dfs(q7)
+    assert all(is_perfect_code(q7, w) for w in listed.witnesses)
+    group = codes._symmetry_group(q7, (1 << len(q7)) - 1)
+    assert len(group) == 13
+    for image in group_maps(q7, group):
+        assert {frozenset(image[w] for w in code) for code in found} == found
 
 
 def test_branch_point_cut_to_one_candidate_is_pushed():
