@@ -292,6 +292,7 @@ def check_hypercube_avoidance(
 
     def body():
         counts = {}
+        nodes = 0  # summed over every search
         for n in n_set:
             _require(n >= 3, n=n, stage="precondition n >= 3")
             graph = build_graph(HYPERCUBE, n)
@@ -304,6 +305,7 @@ def check_hypercube_avoidance(
                     time_budget=time_budget,
                 )
                 _search_verdict(outcome, STATUS_EXHAUSTED, n=n, s=s)
+                nodes += outcome.nodes
             # Mechanism: in every perfect code the dominator of the all-ones
             # word is the all-ones word or a weight n-1 word (whose cyclic
             # run is 1^{n-1}).
@@ -327,9 +329,11 @@ def check_hypercube_avoidance(
                 _require(len(dominators) == 1, n=n, stage="unique dominator")
                 _require(dominators[0].weight() >= n - 1, n=n, stage="dominator weight")
             counts[str(n)] = enumeration.count
+            nodes += enumeration.nodes
         return {
             "perfect_code_counts": counts,
             "s_checked": {str(n): [2, n - 1] for n in n_set},
+            "nodes": nodes,
         }
 
     return _report("prop-qn-avoid", params, body)

@@ -22,7 +22,6 @@ from .claims import (
     VERDICT_PASS,
     VERDICT_SKIPPED,
     applicable_params,
-    run_all,
     run_claim,
 )
 
@@ -121,10 +120,7 @@ def _cmd_verify(args) -> int:
     ]
     if refused:
         args.usage_error(f"{', '.join(refused)} cannot be used with --claim {args.claim}")
-    if args.claim == "all":
-        reports = run_all(**params)
-    else:
-        reports = [run_claim(args.claim, **applicable_params(args.claim, params))]
+    reports = [run_claim(claim_id, **applicable_params(claim_id, params)) for claim_id in claim_ids]
     if args.format == "json":
         _emit(json.dumps([r.to_json_dict() for r in reports]) + "\n", args.output)
     else:

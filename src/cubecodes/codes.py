@@ -36,28 +36,26 @@ automorphism of the graph that maps allowed blocks to allowed blocks.  For
 lucas, lucas1s:s, and qn (also with the codewords held to a rotation- and
 reversal-invariant set, such as the members of lucas1s:s) G is the
 dihedral group of order 2n; for fib and fib1s:s (s < n), whose runs are
-linear, the reversal alone.  Each branch point carries a group H of
-elements that map the blocks chosen above it onto themselves: the elements
-of the H of the branch point above (G for the first one) that map the
-blocks taken since onto themselves.  If g in H maps candidate c to a later
-candidate c', then g maps the codes that contain the chosen blocks and c
-one-to-one onto those that contain them and c', so the subtree of c' holds
-as many codes as that of c; in first and prove_none mode the search went
-through c's subtree without finding one, or it would have stopped.  So a
-branch point tries only the first candidate of each H-orbit, in candidate
-order; its H and that cut are worked out when the search pushes it.  Each
-node carries a weight, 1 at the root: a kept candidate c gets its branch
-point's weight times |H.c & candidates|, the number of candidates its
-orbit holds, and a code found counts its weight.  The candidates all cover
-the vertex decided on, so no code contains two of them, and the weighted
-count is the count of the plain tree (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998).  This only removes subtrees: the MRV
-choices, the candidate order, statuses, counts and first-mode witnesses,
-seeded or not, are those of the plain tree, and nodes, which counts the
-pruned tree, can only fall.  H and the weight depend only on the path to a
-node, so a split leaves the tree as it is.  An enumeration that lists its
-codes searches the plain tree, as the pruned one reaches only one code of
-each orbit.
+linear, the reversal alone.  At each branch point H is the stabilizer in G
+of the chosen blocks: the elements that map all of them onto themselves.
+If g in H maps candidate c to a later candidate c', then g maps the codes
+that contain the chosen blocks and c one-to-one onto those that contain
+them and c', so the subtree of c' holds as many codes as that of c; in
+first and prove_none mode the search went through c's subtree without
+finding one, or it would have stopped.  So a branch point tries only the
+first candidate of each H-orbit, in candidate order.  Each node carries a
+weight, 1 at the root: a kept candidate c gets its branch point's weight
+times |H.c & candidates|, the number of candidates its orbit holds, and a
+code found counts its weight.  The candidates all cover the vertex decided
+on, so no code contains two of them, and the weighted count is the count
+of the plain tree (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998).  This only removes subtrees: the MRV choices, the
+candidate order, statuses, counts and first-mode witnesses, seeded or not,
+are those of the plain tree, and nodes, which counts the pruned tree, can
+only fall.  H depends only on the chosen blocks, so a split leaves the
+tree as it is.  By induction over the skipped siblings every code is the
+G-image of a code the pruned tree reaches, so an enumeration that lists
+its codes expands those over G.
 
 A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
 hands its open subtrees to forked worker processes, which run the same loop
@@ -215,11 +213,14 @@ CHECK_EVERY = 32
 #   Lucas n=15      4,752        1.03-1.49x   1,737        1.07-1.18x
 #   Lucas n=16     14,833        1.80-1.90x  10,300        1.88-1.93x
 #
-# Pruned Lucas n=15 (about 60-95 ms serial) now ends soon after the split,
-# and one subtree holds most of the work left (557 of about 680 nodes), so
-# the second process has little to do; splitting it at 10 or 20 ms did not
-# help either.  On the plain tree the refute benchmark (20 s runs, rescaled
-# to a quiet host) read:
+# The pruned column was measured when each branch point's group was cut
+# only against the blocks taken since the branch point above; the
+# stabilizer of all chosen blocks now takes Lucas n=14 to 1,424 nodes and
+# n=15 to 1,672, with the other counts unchanged.  Pruned Lucas n=15 (about
+# 60-95 ms serial) ends soon after the split, and one subtree held most of
+# the work left (557 of about 680 nodes), so the second process has little
+# to do; splitting it at 10 or 20 ms did not help either.  On the plain
+# tree the refute benchmark (20 s runs, rescaled to a quiet host) read:
 #
 #   split after  runs  frontier_s (Lucas n=15)  wall_s
 #   10 ms        2     0.0701-0.0727 s          0.204-0.208 s
@@ -231,7 +232,7 @@ CHECK_EVERY = 32
 # n=15 gains nothing at 10 or 20 ms (above), and a change moves the split of
 # every refute search that runs near it.  The n=7 graphs do not bear on
 # the choice: enumerate is pruned by symmetry too, and their longest search,
-# the 1,559-node enumeration of lucas1s:7 or fib1s:7, takes about 4 ms
+# the 1,535-node enumeration of lucas1s:7 or fib1s:7, takes about 4 ms
 # (Q7's, 635 nodes, about 2 ms; best of 21 runs on a busy host), far below
 # any of these values.  So 30 ms is kept.
 SPLIT_AFTER_S = 0.03
@@ -445,27 +446,27 @@ def _symmetry_group(graph: InducedGraph, allowed: int) -> list[tuple[list[int], 
 
 
 class _Orbits:
-    """The group G of one search and the two steps of the pruning.
+    """The group G of one search, as _symmetry_group returns it, and the pruning's steps."""
 
-    A group is a list of elements as _symmetry_group returns them.
-    """
-
-    __slots__ = ("group", "words", "full")
+    __slots__ = ("group", "words", "index", "full")
 
     def __init__(self, graph: InducedGraph, allowed: int):
         self.group = _symmetry_group(graph, allowed)
         self.words = graph.vertices
+        self.index = graph.index
         self.full = (1 << graph.n) - 1
 
-    def stabilizer(self, group: list, blocks: list[int]) -> list:
-        """The elements of group that map the blocks onto themselves."""
+    def stabilizer(self, chosen: list[int]) -> list:
+        """The elements of G that map the chosen blocks onto themselves."""
+        if not self.group:
+            return []
         words = self.words
         full = self.full
-        taken = {words[x] for x in blocks}
+        taken = {words[x] for x in chosen}
         kept = []
-        for g in group:
+        for g in self.group:
             source, k, m = g
-            for x in blocks:
+            for x in chosen:
                 w = source[x]
                 if ((w << k) | (w >> m)) & full not in taken:
                     break
@@ -473,71 +474,71 @@ class _Orbits:
                 kept.append(g)
         return kept
 
-    def firsts(self, group: list, tries: list[int]) -> tuple[list[int], list[int]]:
+    def firsts(self, group: list, tries: list[int], weight: int) -> tuple[list[int], list[int]]:
         """The first of tries in each orbit of the group, in the order of tries,
-        and how many of tries each of those orbits holds."""
+        and each one's weight: weight times how many of tries its orbit holds."""
         words = self.words
         full = self.full
         last = tries[-1]
         orbit_of: dict[int, int] = {}  # word -> index of its orbit's first try
         firsts = []
-        sizes = []
+        weights = []
         for x in tries:
             j = orbit_of.get(words[x])
             if j is not None:
-                sizes[j] += 1
+                weights[j] += weight
                 continue
             if x != last:  # no later try to look up
                 j = len(firsts)
                 orbit_of.update({((source[x] << k) | (source[x] >> m)) & full: j for source, k, m in group})
             firsts.append(x)
-            sizes.append(1)
-        return firsts, sizes
+            weights.append(weight)
+        return firsts, weights
+
+    def images(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
+        """The code and its images under G, each as its ids in ascending order."""
+        index = self.index
+        full = self.full
+        out = {tuple(sorted(code))}
+        for source, k, m in self.group:
+            out.add(tuple(sorted(index[((source[x] << k) | (source[x] >> m)) & full] for x in code)))
+        return out
 
 
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect, split_at=None, orbits=None):
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect, orbits, split_at=None):
         self.order = order
         self.node_budget = node_budget
         self.deadline = deadline
         self.stop_at_first = stop_at_first
-        self.split_at = split_at
         self.orbits = orbits
+        self.split_at = split_at
         self.nodes = 0
         self.count = 0
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
         self.witness: tuple[int, ...] | None = None
         # After a split: (base state, block to take or None, blocks chosen
-        # above, origin of the subtree's first node).
+        # above, weight of the subtree's first node).
         self.subtrees: list[tuple] = []
 
-    def run(self, state, chosen: list[int], origin: tuple[list, int, int]) -> str | None:
+    def run(self, state, chosen: list[int], weight: int) -> str | None:
         """Search below state; STATUS_FOUND, STATUS_BUDGET or _SPLIT, or None once complete.
 
         chosen holds the blocks taken above state, and grows as the search
-        does.  Each node covers the vertex that state.select() picks: no
-        usable block is a dead end, one is a forced move applied to the
-        node's own state, and more push a branch point whose children each
-        get a copy of it (the last child takes the original).  At a clock
-        read, every CHECK_EVERY nodes, past split_at, the run keeps its open
-        subtrees and stops.
+        does; weight is state's weight.  Each node covers the vertex that
+        state.select() picks: no usable block is a dead end, one is a forced
+        move applied to the node's own state, and more push a branch point
+        whose children each get a copy of it (the last child takes the
+        original).  At a clock read, every CHECK_EVERY nodes, past split_at,
+        the run keeps its open subtrees and stops.
 
-        A frame is [state, candidates, next index, len(chosen), group,
-        weight, orbit sizes].  A node's origin is the group and len(chosen)
-        of the frame it descends from and the node's own weight, at first
-        the given one.  When a frame is pushed, chosen holds exactly the
-        blocks above it, so its group H is the origin's group cut down to
-        the elements that map chosen[depth:] onto themselves, and its
-        candidates are cut to the first of each H-orbit; its orbit sizes
-        count the candidates in each kept one's orbit, None where H is
-        empty.  A child's weight is the frame's weight times its orbit
-        size, and a code found adds its node's weight to count.  A frame
-        the cut leaves one candidate is still pushed, not made a forced
-        move: that would merge two segments of chosen into one, whose
-        stabilizer can be larger than the chain of the two, and so change
-        the H of the frames below it.
+        A frame is [state, candidates, next index, len(chosen), weights].
+        When it is pushed, chosen holds exactly the blocks above it, and its
+        candidates are cut to the first of each orbit of their stabilizer;
+        weights holds each kept candidate's weight.  A code found adds its
+        node's weight to count.
         """
         node_budget = self.node_budget
         deadline = self.deadline
@@ -554,13 +555,13 @@ class _CoverSearch:
                     now = time.monotonic()
                     if deadline is not None and now > deadline:
                         return STATUS_BUDGET
-                    if split_at is not None and now >= split_at and self._split(state, chosen, stack, origin):
+                    if split_at is not None and now >= split_at and self._split(state, chosen, stack, weight):
                         return _SPLIT
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     return STATUS_BUDGET
                 if not state.uncovered:
-                    self.count += origin[2]
+                    self.count += weight
                     if self.solutions is not None:
                         self.solutions.append(tuple(chosen))
                     if self.stop_at_first:
@@ -569,14 +570,8 @@ class _CoverSearch:
                 else:
                     cands = state.select()
                     if cands & (cands - 1):
-                        tries = self._ordered(cands)
-                        group, depth, weight = origin
-                        sizes = None
-                        if group:
-                            group = orbits.stabilizer(group, chosen[depth:])
-                            if group:
-                                tries, sizes = orbits.firsts(group, tries)
-                        stack.append([state, tries, 0, len(chosen), group, weight, sizes])
+                        tries, weights = orbits.firsts(orbits.stabilizer(chosen), self._ordered(cands), weight)
+                        stack.append([state, tries, 0, len(chosen), weights])
                     elif cands:
                         v = cands.bit_length() - 1
                         state.take(v)
@@ -585,14 +580,14 @@ class _CoverSearch:
                 if not stack:
                     return None
                 frame = stack[-1]
-                base, tries, i, depth, group, weight, sizes = frame
+                base, tries, i, depth, weights = frame
                 if i + 1 < len(tries):
                     frame[2] = i + 1
                     state = base.copy()
                 else:
                     stack.pop()
                     state = base
-                origin = group, depth, (weight * sizes[i] if sizes else weight)
+                weight = weights[i]
                 del chosen[depth:]
                 v = tries[i]
                 state.take(v)
@@ -600,23 +595,20 @@ class _CoverSearch:
         finally:
             self.nodes = nodes
 
-    def _split(self, state, chosen, stack, origin) -> bool:
+    def _split(self, state, chosen, stack, weight) -> bool:
         """Keep the open subtrees in DFS order, if there are 2 to _MAX_SUBTREES.
 
-        The node about to be searched comes first, with its origin, then,
+        The node about to be searched comes first, with its weight, then,
         for each frame from the top of the stack down, its untried
-        candidates tries[i:], each with the frame's group and depth and its
-        own weight as its origin.
+        candidates tries[i:], each with the blocks above the frame and its
+        own weight.
         """
         if not 2 <= 1 + sum(len(frame[1]) - frame[2] for frame in stack) <= _MAX_SUBTREES:
             return False
-        subtrees = [(state, None, tuple(chosen), origin)]
-        for base, tries, i, depth, group, weight, sizes in reversed(stack):
+        subtrees = [(state, None, tuple(chosen), weight)]
+        for base, tries, i, depth, weights in reversed(stack):
             above = tuple(chosen[:depth])
-            subtrees.extend(
-                (base, tries[j], above, (group, depth, weight * sizes[j] if sizes else weight))
-                for j in range(i, len(tries))
-            )
+            subtrees.extend((base, tries[j], above, weights[j]) for j in range(i, len(tries)))
         self.subtrees = subtrees
         return True
 
@@ -625,7 +617,7 @@ class _CoverSearch:
 
         The subtree's state is built here, by the process that claimed it.
         """
-        base, v, above, origin = self.subtrees[i]
+        base, v, above, weight = self.subtrees[i]
         chosen = list(above)
         if v is None:
             state = base
@@ -634,10 +626,9 @@ class _CoverSearch:
             state.take(v)
             chosen.append(v)
         sub = _CoverSearch(
-            self.order, None, self.deadline, self.stop_at_first, self.solutions is not None,
-            orbits=self.orbits,
+            self.order, None, self.deadline, self.stop_at_first, self.solutions is not None, self.orbits,
         )
-        status = sub.run(state, chosen, origin)
+        status = sub.run(state, chosen, weight)
         return status, sub.nodes, sub.count, sub.solutions, sub.witness
 
     def merge(self, results: dict[int, tuple]) -> str | None:
@@ -808,8 +799,10 @@ def search_constrained(
     (which stays one global count) splits over the _split_workers()
     processes, if more than one, at the first clock read, every CHECK_EVERY
     nodes, past SPLIT_AFTER_S that finds at least two open subtrees, and
-    every search but one that collects witnesses prunes by the group
-    _symmetry_group builds.
+    every search prunes by the group _symmetry_group builds.  An
+    enumeration with collect_witnesses lists every code: the codes the
+    pruned tree reaches and their images under that group, as many as the
+    weighted count (or this raises), in ascending order of their id tuples.
     """
     if node_budget is None:
         node_budget = default_node_budget()
@@ -829,9 +822,7 @@ def search_constrained(
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
     split_at = started + SPLIT_AFTER_S if workers > 1 else None
-    collect = collect_witnesses and mode == MODE_ENUMERATE
-    # A list of every code needs the plain tree: the pruned one reaches one code per orbit.
-    orbits = None if collect else _Orbits(graph, allowed)
+    orbits = _Orbits(graph, allowed)
     if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
     else:
@@ -841,18 +832,21 @@ def search_constrained(
         node_budget,
         deadline,
         mode in (MODE_FIRST, MODE_PROVE_NONE),
-        collect,
-        split_at,
+        collect_witnesses and mode == MODE_ENUMERATE,
         orbits,
+        split_at,
     )
-    status = search.run(root, [], (orbits.group if orbits else [], 0, 1))
+    status = search.run(root, [], 1)
     if status == _SPLIT:
         status = _run_split(search, workers)
     if status is None:
         status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
     witnesses = None
     if status == STATUS_ENUMERATED and search.solutions is not None:
-        witnesses = [VertexSet.from_ids(graph, sol) for sol in sorted(search.solutions)]
+        listed = {code for sol in search.solutions for code in orbits.images(sol)}
+        if len(listed) != search.count:
+            raise RuntimeError(f"listed {len(listed)} codes, but the weighted count is {search.count}")
+        witnesses = [VertexSet.from_ids(graph, code) for code in sorted(listed)]
     return SearchOutcome(
         status=status,
         witness=VertexSet.from_ids(graph, search.witness) if search.witness is not None else None,

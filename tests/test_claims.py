@@ -97,10 +97,12 @@ def test_budget_interruption_never_passes():
 
 
 def test_hypercube_avoidance_enumeration_budget_skips():
-    # 6 nodes rule out every s for n = 3; the enumeration then runs out
-    report = check_hypercube_avoidance(n_set=(3,), node_budget=6)
+    # 1 node rules out s = 2 for n = 3; the enumeration, which lists Q3's
+    # codes in 5 nodes, then runs out of a budget of 4
+    report = check_hypercube_avoidance(n_set=(3,), node_budget=4)
     assert report.verdict == "skipped"
     assert report.evidence["stage"] == "enumeration"
+    assert check_hypercube_avoidance(n_set=(3,), node_budget=5).verdict == "pass"
 
 
 def test_failed_requirement_reports_where_it_failed(monkeypatch):
@@ -138,7 +140,8 @@ def test_arithmetic_claims():
 def test_hypercube_avoidance_n3():
     report = check_hypercube_avoidance(n_set=(3,))
     assert report.verdict == "pass"
-    assert report.evidence["perfect_code_counts"] == {"3": 4}
+    # nodes sums the s = 2 search (1 node) and the enumeration (5 nodes)
+    assert report.evidence == {"perfect_code_counts": {"3": 4}, "s_checked": {"3": [2, 2]}, "nodes": 6}
 
 
 def test_constructions_small():

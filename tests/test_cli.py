@@ -9,7 +9,7 @@ import pytest
 
 import cubecodes
 from cubecodes import cli, codes
-from cubecodes.claims import CLAIM_IDS
+from cubecodes.claims import CLAIM_IDS, ClaimReport
 from cubecodes.cli import build_parser, main
 
 
@@ -337,6 +337,14 @@ def test_verify_reports_the_nodes_of_each_n(capsys):
     assert run_cli(capsys, *argv) == (0, out, "")
 
 
+def test_verify_reports_the_nodes_of_the_avoidance_searches(capsys):
+    # prop-qn-avoid sums its searches: s = 2 (1 node) and the listing of Q3's codes (5)
+    code, out, _ = run_cli(capsys, "verify", "--claim", "prop-qn-avoid", "--n-set", "3", "--format", "json")
+    assert code == 0
+    [report] = json.loads(out)
+    assert report["evidence"]["nodes"] == 6
+
+
 def test_verify_unknown_claim_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--claim", "prop-none-such"])
@@ -438,10 +446,18 @@ def test_verify_refuses_a_range_flag_the_claim_does_not_take(capsys, claim, flag
 
 
 def test_verify_all_runs_every_claim_with_the_budgets(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "run_all", lambda **params: calls.append(params) or [])
+    calls = {}
+
+    def run_claim(claim_id, **params):
+        calls[claim_id] = params
+        return ClaimReport(claim_id, params, "pass")
+
+    monkeypatch.setattr(cli, "run_claim", run_claim)
     assert main(["verify", "--claim", "all", "--budget-nodes", "7", "--budget-seconds", "2"]) == 0
-    assert calls == [{"node_budget": 7, "time_budget": 2.0}]
+    assert list(calls) == list(CLAIM_IDS)
+    searching = {"thm-main", "prop-qn-avoid", "fib-nonexistence"}
+    for claim_id, params in calls.items():
+        assert params == ({"node_budget": 7, "time_budget": 2.0} if claim_id in searching else {}), claim_id
 
 
 def test_help_lists_every_claim_id():

@@ -392,14 +392,16 @@ def search_split(graph, codewords, mode, **kwargs):
 def check_against_oracles(graph, codewords=None, seeds=(0, 5)):
     """Enumerate, listing the codes and weighted, and first mode, serial and split.
 
-    Counts must match the oracles.
+    Counts must match the oracles, and the listed codes must not depend on
+    the seed.
     """
-    count = None
+    count = listed = None
     for seed in seeds:
         out, _ = search_split(graph, codewords, "enumerate", seed=seed, collect_witnesses=True)
         assert out.status == "enumerated"
-        assert count in (None, out.count)
-        count = out.count
+        masks = [w.mask for w in out.witnesses]
+        assert (count, listed) in ((None, None), (out.count, masks))
+        count, listed = out.count, masks
         for witness in out.witnesses:
             assert is_perfect_code(graph, witness)
             assert codewords is None or witness.mask & ~codewords.mask == 0
@@ -463,9 +465,9 @@ def test_node_counts_are_pinned(monkeypatch):
     # further down.
     for family, n, mode, plain, pruned in (
         (LUCAS, 10, "prove_none", (142, 95), (116, 77)),
-        (LUCAS, 12, "prove_none", (521, 303), (223, 140)),
+        (LUCAS, 12, "prove_none", (521, 303), (218, 137)),
         (LUCAS, 13, "prove_none", (1461, 716), (1057, 507)),
-        (LUCAS, 14, "prove_none", (3919, 1896), (2958, 1427)),
+        (LUCAS, 14, "prove_none", (3919, 1896), (2940, 1424)),
         (FIBONACCI, 12, "prove_none", (659, 332), (410, 224)),
         (FIBONACCI, 13, "prove_none", (1835, 899), (1835, 899)),
         (HYPERCUBE, 7, "enumerate", (3169, 3169), (635, 635)),
@@ -574,7 +576,7 @@ def test_counted_state_holds_a_count_of_63():
 def test_split_node_counts_are_pinned(monkeypatch):
     # Long enough to split on a host with two CPUs; the tree stays the serial
     # one, plain and pruned by symmetry.
-    for family, n, plain, pruned in ((LUCAS, 15, 4752, 1737), (FIBONACCI, 14, 2405, 2405)):
+    for family, n, plain, pruned in ((LUCAS, 15, 4752, 1672), (FIBONACCI, 14, 2405, 2405)):
         g = build_graph(family, n)
         for group, nodes in ((no_symmetry, plain), (codes._symmetry_group, pruned)):
             monkeypatch.setattr(codes, "_symmetry_group", group)
@@ -711,7 +713,7 @@ def counted_forks(monkeypatch):
 
 def test_split_uses_every_cpu_and_only_one_thread(counted_forks, monkeypatch):
     g = build_graph(LUCAS, 12)
-    for group, nodes in ((no_symmetry, 303), (codes._symmetry_group, 140)):
+    for group, nodes in ((no_symmetry, 303), (codes._symmetry_group, 137)):
         monkeypatch.setattr(codes, "_symmetry_group", group)
         counted_forks.clear()
         assert find_perfect_code(g, "prove_none").nodes == nodes
@@ -733,8 +735,7 @@ def test_split_uses_every_cpu_and_only_one_thread(counted_forks, monkeypatch):
 def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
     # Split workers reuse the parent's group through run_subtree; the counter
     # sees only this process's builds.  An enumeration that lists its codes
-    # searches the plain tree and builds none, and a first-mode search that
-    # never backtracks builds one.
+    # and a first-mode search that never backtracks build one too.
     builds = []
     symmetry_group = codes._symmetry_group
 
@@ -749,14 +750,15 @@ def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
         for node_budget, forks in ((None, len(os.sched_getaffinity(0)) - 1), (10**6, 0)):
             builds.clear()
             counted_forks.clear()
-            assert find_perfect_code(g, mode, node_budget=node_budget).nodes == 140
+            assert find_perfect_code(g, mode, node_budget=node_budget).nodes == 137
             assert (len(builds), len(counted_forks)) == (1, forks), (mode, node_budget)
     builds.clear()
     assert find_perfect_code(g, "enumerate").count == 0
     assert builds == [1]
     builds.clear()
     assert find_perfect_code(g, "enumerate", collect_witnesses=True).witnesses == []
-    assert builds == []
+    assert builds == [1]
+    builds.clear()
     out = find_perfect_code(disjoint_k2_pieces(8), "first")
     assert (out.status, out.nodes, len(builds)) == ("found", 9, 1)
 
@@ -789,11 +791,13 @@ def dihedral_images(bits, n):
     return {int(text, 2) for r in rotations for text in (r, r[::-1])}
 
 
-def group_maps(graph, group):
-    """Each group element as a dict from vertex word to image word."""
+def group_maps(words, group):
+    """Each group element as a dict from vertex word to image word.
+
+    Element (source, k, m) rotates source[x] left by k of its k + m bits.
+    """
     return [
-        {graph.vertices[x]: ((source[x] << k) | (source[x] >> m)) & ((1 << graph.n) - 1)
-         for x in range(len(graph))}
+        {words[x]: ((source[x] << k) | (source[x] >> m)) & ((1 << (k + m)) - 1) for x in range(len(words))}
         for source, k, m in group
     ]
 
@@ -816,30 +820,33 @@ def expected_group_size(graph, banned):
 def audit_pruning(patch):
     """Check each pruning branch point's group and cut.
 
-    Every element of the group must fix the chosen blocks: that is what
-    makes a skipped candidate safe.  The pruning sees only the blocks taken
-    since the branch point above, so the test reads all chosen blocks from
-    the caller, _CoverSearch.run, where they are exactly the blocks above
-    the frame being pushed.  The kept candidates must be the first of each
-    orbit, and each orbit size, a kept candidate's weight factor, the
-    number of candidates in its orbit.
+    The group must be exactly the elements of G that map all chosen blocks
+    onto themselves: each of them makes a skipped candidate safe, and the
+    group may depend on nothing else, or a split would change the tree.
+    The test reads the chosen blocks from the caller, _CoverSearch.run,
+    where they are exactly the blocks above the frame being pushed, and
+    works the stabilizer out from group_maps.  The kept candidates must be
+    the first of each orbit, and each one's weight the frame's weight times
+    the number of candidates in its orbit.
     """
     firsts = codes._Orbits.firsts
+    maps = {}  # _Orbits -> group_maps of its G
 
-    def audited(orbits, group, tries):
+    def audited(orbits, group, tries, weight):
         chosen = sys._getframe(1).f_locals["chosen"]
         words = orbits.words
+        if orbits not in maps:
+            maps[orbits] = group_maps(words, orbits.group)
         taken = {words[x] for x in chosen}
-        for source, k, m in group:
-            assert {((source[x] << k) | (source[x] >> m)) & orbits.full for x in chosen} == taken
-        kept, sizes = firsts(orbits, group, tries)
+        assert group == [g for g, image in zip(orbits.group, maps[orbits]) if {image[w] for w in taken} == taken]
+        kept, weights = firsts(orbits, group, tries, weight)
 
         def orbit(x):
             return {words[x]} | {((source[x] << k) | (source[x] >> m)) & orbits.full for source, k, m in group}
 
         assert kept == [x for i, x in enumerate(tries) if not any(words[x] in orbit(y) for y in tries[:i])]
-        assert sizes == [sum(words[y] in orbit(x) for y in tries) for x in kept]
-        return kept, sizes
+        assert weights == [weight * sum(words[y] in orbit(x) for y in tries) for x in kept]
+        return kept, weights
 
     patch.setattr(codes._Orbits, "firsts", audited)
 
@@ -883,26 +890,30 @@ def symmetric_searches(draw):
 @example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 0))
 @example(case=(build_graph(HYPERCUBE, 7), {0b1111111}, 5))
 def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
-    # Statuses, witnesses and enumerate's weighted count are those of the
-    # plain tree and the DFS oracle; the pruned tree is never larger.
+    # Statuses, witnesses, enumerate's weighted count and the listed codes
+    # are those of the plain tree and the DFS oracle; the pruned tree is
+    # never larger.
     graph, banned, seed = case
     codewords = codewords_outside(graph, banned)
     assert len(codes._symmetry_group(graph, codewords.mask)) == expected_group_size(graph, banned) > 0
     count = count_perfect_codes_dfs(graph, codewords)
-    modes = ("first", "prove_none", "enumerate")
+    runs = (("first", False), ("prove_none", False), ("enumerate", False), ("enumerate", True))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codes, "_symmetry_group", no_symmetry)
-        plain = {mode: search_constrained(graph, codewords, mode, seed=seed) for mode in modes}
-    for mode in modes:
+        plain = [search_constrained(graph, codewords, mode, seed=seed, collect_witnesses=listing)
+                 for mode, listing in runs]
+    for (mode, listing), plain_out in zip(runs, plain):
         with pytest.MonkeyPatch.context() as patch:
             audit_pruning(patch)
-            pruned = search_constrained(graph, codewords, mode, seed=seed)
+            pruned = search_constrained(graph, codewords, mode, seed=seed, collect_witnesses=listing)
         if mode == "enumerate":
             assert (pruned.status, pruned.count) == ("enumerated", count)
         else:
             assert pruned.status == ("found" if count else "exhausted")
-        assert _verdict(pruned) == _verdict(plain[mode])
-        assert pruned.nodes <= plain[mode].nodes
+        assert _verdict(pruned) == _verdict(plain_out)
+        assert pruned.nodes <= plain_out.nodes
+    assert {w.mask for w in pruned.witnesses} == {w.mask for w in plain_out.witnesses}
+    assert len(pruned.witnesses) == count
 
 
 @pytest.mark.parametrize(
@@ -922,37 +933,44 @@ def test_weighted_enumerate_split_at_every_point_is_the_serial_run(family, count
         assert _fingerprint(split) == _fingerprint(serial), check_every
 
 
-def test_listed_codes_are_every_code():
-    # The pruned tree reaches one code of each orbit, so listing the codes
-    # searches the plain tree: all 240 codes of Q7, closed under the group.
+def test_listed_codes_are_every_code(monkeypatch):
+    # The listing expands the codes the pruned tree reaches over the group:
+    # all 240 codes of Q7 in the 635 nodes of the weighted count, closed
+    # under the group, in ascending order of their ids.
     q7 = build_graph(HYPERCUBE, 7)
     weighted = find_perfect_code(q7, "enumerate")
     listed = find_perfect_code(q7, "enumerate", collect_witnesses=True)
     assert (weighted.count, weighted.nodes) == (240, 635)
-    assert (listed.count, listed.nodes) == (240, 3169)
+    assert (listed.count, listed.nodes) == (240, 635)
+    ids = [tuple(w.ids()) for w in listed.witnesses]
+    assert ids == sorted(ids)
     found = {frozenset(q7.vertices[i] for i in w.ids()) for w in listed.witnesses}
     assert len(found) == 240 == count_perfect_codes_dfs(q7)
     assert all(is_perfect_code(q7, w) for w in listed.witnesses)
     group = codes._symmetry_group(q7, (1 << len(q7)) - 1)
     assert len(group) == 13
-    for image in group_maps(q7, group):
+    for image in group_maps(q7.vertices, group):
         assert {frozenset(image[w] for w in code) for code in found} == found
+    # Codes left unexpanded fall short of the weighted count.
+    monkeypatch.setattr(codes._Orbits, "images", lambda orbits, code: {tuple(sorted(code))})
+    with pytest.raises(RuntimeError, match="weighted count is 240"):
+        find_perfect_code(q7, "enumerate", collect_witnesses=True)
 
 
 def test_branch_point_cut_to_one_candidate_is_pushed():
     # Q7 less 0^7, 1^7 and the rotations of 0000101, with no codeword of
-    # weight one: a branch point of this search is cut to one candidate.
-    # Pushed, it starts a new segment of chosen blocks for the groups
-    # below it; taken as a forced move instead, their groups would be cut
-    # against the merged segment, a larger stabilizer, and the search would
-    # end in 10 nodes.
+    # weight one: a branch point of this search is cut to one candidate,
+    # which is pushed, its weight the size of its orbit.  Each group below
+    # it is the stabilizer of all chosen blocks, so the search ends in 9
+    # nodes; a group cut only against the blocks taken since the branch
+    # point above, a subgroup of it, took 11.
     cut = {0, 0b1111111} | dihedral_images(0b0000101, 7)
     g = InducedGraph(7, [w for w in range(128) if w not in cut])
     codewords = codewords_outside(g, dihedral_images(0b0000001, 7))
     assert count_perfect_codes_dfs(g, codewords) == 0
     for mode in ("first", "prove_none"):
         outs = search_both(g, codewords, mode)
-        assert [(out.status, out.nodes) for out in outs] == 2 * [("exhausted", 11)], mode
+        assert [(out.status, out.nodes) for out in outs] == 2 * [("exhausted", 9)], mode
 
 
 def test_group_of_each_family():
@@ -966,19 +984,19 @@ def test_group_of_each_family():
         g = build_graph(family, n)
         group = codes._symmetry_group(g, codewords_outside(g, set()).mask)
         assert len(group) == size, (family, n)
-        maps = group_maps(g, group)
+        maps = group_maps(g.vertices, group)
         assert all(set(image.values()) == set(g.vertices) for image in maps)
         assert all(any(w != v for w, v in image.items()) for image in maps)
         assert len({tuple(sorted(image.items())) for image in maps}) == size
     fib = build_graph(FIBONACCI, 9)
-    [reversal] = group_maps(fib, codes._symmetry_group(fib, codewords_outside(fib, set()).mask))
+    [reversal] = group_maps(fib.vertices, codes._symmetry_group(fib, codewords_outside(fib, set()).mask))
     assert all(image == int(str(BitWord(9, w))[::-1], 2) for w, image in reversal.items())
 
 
 def test_group_drops_the_rotation_a_banned_set_breaks():
     g = build_graph(LUCAS, 8)
     banned = {0b00000001, 0b10000000}  # closed under reversal, not rotation
-    [reversal] = group_maps(g, codes._symmetry_group(g, codewords_outside(g, banned).mask))
+    [reversal] = group_maps(g.vertices, codes._symmetry_group(g, codewords_outside(g, banned).mask))
     assert reversal[0b00000001] == 0b10000000
     assert codes._symmetry_group(g, codewords_outside(g, {0b00000001}).mask) == []
     assert len(codes._symmetry_group(g, codewords_outside(g, dihedral_images(0b00000101, 8)).mask)) == 15
@@ -993,6 +1011,6 @@ def test_group_keeps_only_generators_that_map_the_search_onto_itself(graph, bann
         assert group == []
         return
     assert len(group) == expected_group_size(graph, banned)
-    for image in group_maps(graph, group):
+    for image in group_maps(graph.vertices, group):
         assert set(image.values()) == set(graph.vertices)
         assert {image[w] for w in banned} == banned
