@@ -33,7 +33,7 @@ from .words import (
     enumerate_family,
     gen_lucas,
 )
-from .graphs import VertexSet, build_graph
+from .graphs import VertexSet, build_graph, word_bitmap
 from .codes import (
     STATUS_BUDGET,
     STATUS_ENUMERATED,
@@ -87,10 +87,14 @@ def _require(condition: bool, **evidence):
         raise _Stop(VERDICT_FAIL, **evidence)
 
 
-def _search_verdict(outcome, expect: str, **evidence):
-    """Map an engine outcome onto claim bookkeeping, honoring budgets."""
+def _search_verdict(outcome, expect: str, spent: int = 0, **evidence):
+    """Map an engine outcome onto claim bookkeeping, honoring budgets.
+
+    spent is the node count of the check's earlier searches, so a skip
+    reports the nodes of every search it ran.
+    """
     if outcome.status == STATUS_BUDGET:
-        raise _Stop(VERDICT_SKIPPED, nodes=outcome.nodes, **evidence, reason="budget")
+        raise _Stop(VERDICT_SKIPPED, nodes=spent + outcome.nodes, **evidence, reason="budget")
     _require(outcome.status == expect, status=outcome.status, **evidence)
     return outcome
 
@@ -147,6 +151,7 @@ def _nonexistence_scan(claim, family, n_max, node_budget, time_budget):
                     graph, "first", node_budget=node_budget, time_budget=time_budget
                 ),
                 STATUS_FOUND if n < 4 else STATUS_EXHAUSTED,
+                sum(nodes_by_n.values()),
                 n=n,
             )
             if n < 4:
@@ -304,7 +309,7 @@ def check_hypercube_avoidance(
                     node_budget=node_budget,
                     time_budget=time_budget,
                 )
-                _search_verdict(outcome, STATUS_EXHAUSTED, n=n, s=s)
+                _search_verdict(outcome, STATUS_EXHAUSTED, nodes, n=n, s=s)
                 nodes += outcome.nodes
             # Mechanism: in every perfect code the dominator of the all-ones
             # word is the all-ones word or a weight n-1 word (whose cyclic
@@ -318,6 +323,7 @@ def check_hypercube_avoidance(
                     time_budget=time_budget,
                 ),
                 STATUS_ENUMERATED,
+                nodes,
                 n=n,
                 stage="enumeration",
             )
@@ -367,6 +373,22 @@ def check_full_run_construction(p_set=(2, 3, 4)) -> ClaimReport:
     return _report("prop-1n", params, body)
 
 
+def _decode_escape(graph, codeword_bits) -> int | None:
+    """The lowest vertex word whose nearest codeword is not a vertex, or None.
+
+    codeword_bits lists the packed words of a code that is perfect in Q_n,
+    so a word's nearest codeword is the one codeword within distance 1, and
+    it is a vertex iff the word lies in N[C ∩ V].  The closure is
+    V ⊆ N[C ∩ V], decided on word bitmaps in O(n · 2^n / 64) word
+    operations; the word returned is the one an ascending decode loop
+    would stop at.
+    """
+    vertex_words = graph.vertex_bitmap()
+    covered, _ = graph.cover_bitmaps(word_bitmap(graph.n, codeword_bits) & vertex_words)
+    escaped = vertex_words & ~covered
+    return (escaped & -escaped).bit_length() - 1 if escaped else None
+
+
 def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
     """The Hamming code minus 1^n is perfect two forbidden-run lengths down."""
     params = {"p_set": list(p_set)}
@@ -374,7 +396,7 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
     def body():
         orders = {}
         for p in p_set:
-            hamming = build_hamming(p)
+            codeword_bits = build_hamming(p).codeword_bits()
             for s_kind in (S_KIND_MINUS_1, S_KIND_MINUS_2):
                 code = construct_gen_lucas_code(p, s_kind)
                 graph = code.graph
@@ -384,16 +406,15 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
                 )
                 _require(is_perfect_code(graph, code), p=p, s_kind=s_kind, stage="perfect")
                 # Decoding any vertex of the graph lands inside the graph.
-                decode_bits, index = hamming.decode_bits, graph.index
-                for bits in graph.vertices:
-                    if decode_bits(bits) not in index:
-                        raise _Stop(
-                            VERDICT_FAIL,
-                            p=p,
-                            s_kind=s_kind,
-                            stage="decode closure",
-                            vertex=str(BitWord(n, bits)),
-                        )
+                escape = _decode_escape(graph, codeword_bits)
+                if escape is not None:
+                    raise _Stop(
+                        VERDICT_FAIL,
+                        p=p,
+                        s_kind=s_kind,
+                        stage="decode closure",
+                        vertex=str(BitWord(n, escape)),
+                    )
                 orders[f"p{p},{s_kind}"] = _orders_record(code)
         return {"orders": orders}
 

@@ -4,22 +4,36 @@ Vertices are family members at a fixed length, stored ascending; the dense
 vertex id of a word is its rank in that order, which is stable across runs.
 Vertex sets are bitmaps over dense ids, packed into a single integer.
 Neighbors are probed on demand: the n one-bit flips of a word are looked up
-in the word index, and nothing is stored per vertex.  Connectivity is the
-one question answered without probing: it floods a 2^n-bit bitmap over the
-word space one coordinate at a time, in O(sweeps · n · 2^n / 64) word
-operations, where the sweep count is at most the diameter + 1.
+in the word index, and nothing is stored per vertex.  Questions about the
+whole graph are answered without probing, on 2^n-bit bitmaps over the word
+space: bit w is set when the packed word w is in the set.  Flipping
+coordinate b of every word in such a bitmap is one shift pair under a
+coordinate mask, O(2^n / 64) word operations.  Connectivity floods the
+vertex bitmap with these flips, in O(sweeps · n · 2^n / 64) word
+operations, where the sweep count is at most the diameter + 1; cover_bitmaps
+sums the closed neighborhoods of a set of words in O(n · 2^n / 64), which
+decides the perfect-code predicates of codes.py.  The vertex bitmap is built
+once per graph, and every bitmap is held to the enumeration cap.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, count, islice
 from operator import lt
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .limits import check_cap, graph_cap
-from .words import BitWord, Family, check_length, coordinate_masks, iter_family_bits, membership_test
+from .words import (
+    _DIGIT_FLAGS,
+    BitWord,
+    Family,
+    check_length,
+    coordinate_masks,
+    iter_family_bits,
+    membership_test,
+)
 
 
 # Maps the flag bytes 0/1 to the characters of a binary numeral.
@@ -31,6 +45,34 @@ def hamming_distance(x: BitWord, y: BitWord) -> int:
     if x.length != y.length:
         raise ValueError(f"length mismatch: {x.length} vs {y.length}")
     return (x.bits ^ y.bits).bit_count()
+
+
+def _check_bitmap_cap(n: int) -> None:
+    check_cap("enum_cap", 1 << n, f"the word bitmap at n={n} of 2^{n} bits")
+
+
+def word_bitmap(n: int, words: Iterable[int]) -> int:
+    """The 2^n-bit bitmap over the word space of packed n-bit words.
+
+    Held to the enumeration cap, as the scan of build_graph is.
+    """
+    _check_bitmap_cap(n)
+    # A byte per word, read as a binary numeral: setting one bit of an
+    # int costs O(2^n / 64), and or-ing bits into packed bytes is slower.
+    flags = bytearray(1 << n)
+    for bits in words:
+        flags[bits] = 1
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+
+
+def _flipped(words: int, b: int, clear: int) -> int:
+    """The word bitmap with coordinate b of every word flipped.
+
+    clear is coordinate_masks(n)[b]: a shift up by 2^b sets bit b of the
+    words where it is clear, and a shift down clears it where it is set.
+    """
+    step = 1 << b
+    return ((words & clear) << step) | ((words >> step) & clear)
 
 
 class InducedGraph:
@@ -51,6 +93,7 @@ class InducedGraph:
         self.family = family
         self.vertices = vertices
         self.index = {bits: i for i, bits in enumerate(vertices)}
+        self._vertex_bitmap = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -120,39 +163,55 @@ class InducedGraph:
                     queue.append(j)
         return None
 
+    def vertex_bitmap(self) -> int:
+        """The vertex words as a word bitmap, built on the first call and kept.
+
+        Every call is held to the enumeration cap, so a graph over it raises
+        the ResourceLimitError that names enum_cap.
+        """
+        _check_bitmap_cap(self.n)
+        if self._vertex_bitmap is None:
+            self._vertex_bitmap = word_bitmap(self.n, self.vertices)
+        return self._vertex_bitmap
+
+    def cover_bitmaps(self, words: int) -> tuple[int, int]:
+        """The vertex words that N[words] covers at least once and at least twice.
+
+        words is a word bitmap, and N[w] is w with its n one-bit flips, so
+        words and its n flips are summed into saturating once/twice bitmaps,
+        both kept to the vertex words: O(n · 2^n / 64) word operations,
+        held to the enumeration cap.
+        """
+        vertex_words = self.vertex_bitmap()
+        once, twice = words, 0
+        for b, clear in enumerate(coordinate_masks(self.n)):
+            term = _flipped(words, b, clear)
+            twice |= once & term
+            once |= term
+        return once & vertex_words, twice & vertex_words
+
     def is_connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0.
 
-        The reached words are a 2^n-bit bitmap over the word space, so no
-        vertex is probed: for each coordinate b, a shift up by 2^b sets bit
-        b of every reached word where it is clear, a shift down clears it
-        where it is set, and the result is kept to the vertex words.  Whole
-        sweeps over b = 0..n-1 repeat until one adds nothing, at
-        O(n · 2^n / 64) word operations each.  Each sweep extends the
+        The reached words are a bitmap over the word space, so no vertex is
+        probed: each coordinate's flips are added and kept to the vertex
+        words.  Whole sweeps over b = 0..n-1 repeat until one adds nothing,
+        at O(n · 2^n / 64) word operations each.  Each sweep extends the
         reached set by at least one BFS layer, so there are at most
         diameter + 1 sweeps; a family closed under clearing a bit is
         reached from 0^n in one sweep, which sets each member's bits in
         ascending order, and confirmed by a second.  The bitmap is held to
-        the enumeration cap, as the scan of build_graph is.
+        the enumeration cap.
         """
-        n, vertices = self.n, self.vertices
-        if not vertices:
+        if not self.vertices:
             return True
-        size = 1 << n
-        check_cap("enum_cap", size, f"the connectivity bitmap at n={n} of 2^{n} bits")
-        # A byte per word, read as a binary numeral: setting one bit of an
-        # int costs O(2^n / 64), and or-ing bits into packed bytes is slower.
-        flags = bytearray(size)
-        for bits in vertices:
-            flags[bits] = 1
-        words = int(flags.translate(_FLAG_DIGITS)[::-1], 2)
-        low = coordinate_masks(n)
-        reached = 1 << vertices[0]
+        words = self.vertex_bitmap()
+        low = coordinate_masks(self.n)
+        reached = 1 << self.vertices[0]
         while True:
             before = reached
             for b, clear in enumerate(low):
-                step = 1 << b
-                reached |= (((reached & clear) << step) | ((reached >> step) & clear)) & words
+                reached |= _flipped(reached, b, clear) & words
             if reached == before:
                 return reached == words
 
@@ -255,12 +314,20 @@ class VertexSet:
         flags = bytes(map(membership_test(family, graph.n), graph.vertices))
         return cls(graph, int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2))
 
+    def _flags(self) -> bytes:
+        """Byte i is 1 when id i is a member: the binary numeral of the mask, low bit first."""
+        return bin(self.mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
     def ids(self) -> list[int]:
-        """Member ids, ascending, read from the binary numeral of the mask in one pass."""
-        return [i for i, c in enumerate(bin(self.mask)[:1:-1]) if c == "1"]
+        """Member ids, ascending."""
+        return list(compress(count(), self._flags()))
+
+    def word_bits(self) -> list[int]:
+        """Member words, packed, ascending."""
+        return list(compress(self.graph.vertices, self._flags()))
 
     def words(self) -> list[BitWord]:
-        return [self.graph.word(i) for i in self.ids()]
+        return [BitWord(self.graph.n, bits) for bits in self.word_bits()]
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -14,7 +14,6 @@ from cubecodes.claims import (
     check_punctured_constructions,
     check_weight_counts,
 )
-from cubecodes.hamming import HammingCode
 
 # ids frozen so downstream tooling can key on them
 FROZEN_IDS = {
@@ -93,7 +92,17 @@ def test_hypercube_avoidance_below_n3_fails(n):
 def test_budget_interruption_never_passes():
     report = check_lucas_nonexistence(n_max=14, node_budget=20)
     assert report.verdict == "skipped"
-    assert list(report.evidence.items()) == [("nodes", 21), ("n", 7), ("reason", "budget")]
+    # nodes sums the searches for n = 0..6 (32 nodes) and the one for n = 7,
+    # which ran out of its budget of 20 at node 21
+    assert list(report.evidence.items()) == [("nodes", 53), ("n", 7), ("reason", "budget")]
+
+
+def test_budget_skip_counts_every_search_it_ran():
+    for check in (check_lucas_nonexistence, check_fibonacci_nonexistence):
+        up_to_6 = check(n_max=6).evidence["nodes"]
+        report = check(n_max=14, node_budget=20)
+        assert report.verdict == "skipped"
+        assert report.evidence == {"nodes": up_to_6 + 21, "n": 7, "reason": "budget"}, check
 
 
 def test_hypercube_avoidance_enumeration_budget_skips():
@@ -101,7 +110,8 @@ def test_hypercube_avoidance_enumeration_budget_skips():
     # codes in 5 nodes, then runs out of a budget of 4
     report = check_hypercube_avoidance(n_set=(3,), node_budget=4)
     assert report.verdict == "skipped"
-    assert report.evidence["stage"] == "enumeration"
+    # nodes counts the s = 2 search and the enumeration that ran out
+    assert report.evidence == {"nodes": 6, "n": 3, "stage": "enumeration", "reason": "budget"}
     assert check_hypercube_avoidance(n_set=(3,), node_budget=5).verdict == "pass"
 
 
@@ -150,8 +160,12 @@ def test_constructions_small():
 
 
 def test_decode_closure_failure_names_the_vertex(monkeypatch):
-    # a decoder that leaves the graph: 1^n is never a vertex of the punctured graphs
-    monkeypatch.setattr(HammingCode, "decode_bits", lambda self, bits: (1 << self.n) - 1)
+    # a code C = {1^n} that leaves the graph: 1^n is never a vertex of the
+    # punctured graphs, so C ∩ V is empty and no vertex is covered
+    decode_escape = claims._decode_escape
+    monkeypatch.setattr(
+        claims, "_decode_escape", lambda graph, codeword_bits: decode_escape(graph, [(1 << graph.n) - 1])
+    )
     report = check_punctured_constructions(p_set=(2,))
     assert report.verdict == "fail"
     assert report.evidence == {

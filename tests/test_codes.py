@@ -29,6 +29,7 @@ from cubecodes import (
     is_code,
     is_dominating,
     is_perfect_code,
+    parse_family,
     search_constrained,
 )
 from cubecodes import codes
@@ -112,6 +113,70 @@ def test_validators_on_the_p4_construction():
 def test_validators_on_the_empty_graph():
     empty = InducedGraph(3, [])
     assert is_code(empty, []) and is_dominating(empty, []) and is_perfect_code(empty, [])
+
+
+def cover_counts(graph, code):
+    """Oracle for the validators: entry j counts the members whose closed neighborhood holds j."""
+    counts = [0] * len(graph)
+    for i in code.ids():
+        counts[i] += 1
+        for j in graph.neighbor_ids(i):
+            counts[j] += 1
+    return counts
+
+
+def check_validators(graph, code):
+    counts = cover_counts(graph, code)
+    assert is_code(graph, code) == (max(counts, default=0) <= 1)
+    assert is_dominating(graph, code) == (0 not in counts)
+    assert is_perfect_code(graph, code) == (counts.count(1) == len(graph))
+
+
+def greedy_code(graph, order):
+    """A code that takes each vertex in order whose closed neighborhood is still uncovered."""
+    covered = chosen = 0
+    for i in order:
+        mask = graph.closed_mask(i)
+        if not covered & mask:
+            covered |= mask
+            chosen |= 1 << i
+    return VertexSet(graph, chosen)
+
+
+def sample_codes(graph, rng):
+    """Codes of every kind for the validators: empty, whole, sparse, greedy and one off greedy."""
+    ids = range(len(graph))
+    yield VertexSet(graph, 0)
+    yield VertexSet.from_ids(graph, ids)
+    for density in (0.05, 0.2):
+        yield VertexSet.from_ids(graph, [i for i in ids if rng.random() < density])
+    for _ in range(3):
+        code = greedy_code(graph, rng.sample(ids, len(graph)))
+        yield code
+        if len(graph):
+            yield VertexSet(graph, code.mask ^ 1 << rng.randrange(len(graph)))
+
+
+@pytest.mark.parametrize("kind", ["qn", "fib", "lucas", "fib1s", "lucas1s"])
+def test_validators_match_the_cover_counts_on_families(kind):
+    rng = random.Random(kind)
+    for n in range(11):
+        plain = kind in ("qn", "fib", "lucas")
+        for spec in [kind] if plain else [f"{kind}:{s}" for s in range(1, n + 1)]:
+            graph = build_graph(parse_family(spec), n)
+            for code in sample_codes(graph, rng):
+                check_validators(graph, code)
+
+
+@pytest.mark.parametrize("validator", [is_code, is_dominating, is_perfect_code])
+def test_validators_hold_the_word_bitmap_to_the_enumeration_cap(monkeypatch, validator):
+    graph = InducedGraph(7, [0, 1, 3])
+    monkeypatch.setenv("CUBECODES_ENUM_CAP", "100")
+    with pytest.raises(ResourceLimitError, match="CUBECODES_ENUM_CAP") as err:
+        validator(graph, [W("0000000")])
+    assert err.value.cap_name == "enum_cap"
+    monkeypatch.setenv("CUBECODES_ENUM_CAP", "128")
+    assert validator(graph, [W("0000001")])  # N[0000001] is the whole graph
 
 
 def test_perfect_code_is_code_and_dominating():
@@ -448,6 +513,21 @@ def induced_graphs(draw, max_words=24):
     n = draw(st.integers(1, 6))
     words = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=min(max_words, 1 << n)))
     return InducedGraph(n, sorted(words))
+
+
+@given(graph=induced_graphs(), data=st.data())
+@example(graph=InducedGraph(0, [0]), data=None)
+@example(graph=InducedGraph(0, []), data=None)
+@example(graph=InducedGraph(4, []), data=None)
+def test_validators_match_the_cover_counts_on_random_graphs(graph, data):
+    if data is None:
+        candidates = [VertexSet(graph, 0), VertexSet.from_ids(graph, range(len(graph)))]
+    else:
+        ids = data.draw(st.sets(st.integers(0, len(graph) - 1)))
+        order = data.draw(st.permutations(range(len(graph))))
+        candidates = [VertexSet.from_ids(graph, ids), greedy_code(graph, order)]
+    for code in candidates:
+        check_validators(graph, code)
 
 
 @settings(max_examples=80)

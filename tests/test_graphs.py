@@ -207,6 +207,16 @@ def test_vertex_set_ids_are_the_set_bits_ascending(mask):
     assert vs.ids() == [i for i in range(128) if mask >> i & 1]
 
 
+@given(mask=st.integers(0, (1 << 47) - 1))
+@example(mask=0)
+@example(mask=(1 << 47) - 1)
+def test_vertex_set_word_bits_are_the_members_words_ascending(mask):
+    graph = build_graph(LUCAS, 8)  # 47 vertices, whose words are not their ids
+    vs = VertexSet(graph, mask)
+    assert vs.word_bits() == [graph.vertices[i] for i in vs.ids()]
+    assert [w.bits for w in vs.words()] == vs.word_bits()
+
+
 def test_vertex_set_contains_ids():
     vs = VertexSet.from_ids(build_graph(LUCAS, 3), [0, 3])
     assert 0 in vs

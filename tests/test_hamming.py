@@ -1,6 +1,7 @@
 """Hamming codes, syndrome decoding, and the coset constructions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,6 +17,8 @@ from cubecodes import (
     has_circular_ones_run,
     is_perfect_code,
 )
+from cubecodes.claims import _decode_escape
+from cubecodes.graphs import InducedGraph
 
 W = BitWord.from_string
 
@@ -239,6 +242,47 @@ def test_decode_closure_for_punctured_kinds():
             graph = construct_gen_lucas_code(p, s_kind).graph
             for bits in graph.vertices:
                 assert code.decode(BitWord(n, bits)).bits in graph.index
+
+
+def decode_loop_escape(code, graph):
+    """Oracle for the closure: the first vertex, ascending, that decodes outside the graph."""
+    for bits in graph.vertices:
+        if code.decode_bits(bits) not in graph.index:
+            return bits
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_bitmap_decode_closure_matches_the_decode_loop(p):
+    code = build_hamming(p)
+    codewords = code.codeword_bits()
+    rng = random.Random(p)
+    for s_kind in ("n-1", "n-2"):
+        graph = construct_gen_lucas_code(p, s_kind).graph
+        assert _decode_escape(graph, codewords) is None
+        assert decode_loop_escape(code, graph) is None
+        # Drop a few vertices, codewords among them, so that some decode
+        # outside the graph; the bitmap must name the loop's first one.
+        inside = [c for c in codewords if c in graph.index]
+        for trial in range(4):
+            dropped = set(rng.sample(graph.vertices, min(trial + 1, len(graph))))
+            if trial % 2:
+                dropped |= set(rng.sample(inside, min(trial, len(inside))))
+            damaged = InducedGraph(graph.n, [v for v in graph.vertices if v not in dropped])
+            assert _decode_escape(damaged, codewords) == decode_loop_escape(code, damaged), (s_kind, trial)
+
+
+@given(p=st.sampled_from([2, 3]), data=st.data())
+@example(p=2, data=None)
+def test_bitmap_decode_closure_matches_the_decode_loop_on_random_graphs(p, data):
+    code = build_hamming(p)
+    n = code.n
+    if data is None:  # the whole of Q_n, where every word decodes inside
+        words = list(range(1 << n))
+    else:
+        words = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n)))
+    graph = InducedGraph(n, words)
+    assert _decode_escape(graph, code.codeword_bits()) == decode_loop_escape(code, graph)
 
 
 def test_construction_words_avoid_the_run():
