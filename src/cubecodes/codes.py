@@ -52,21 +52,14 @@ of the plain tree (McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 26, 1998).  This only removes subtrees: the MRV choices, the
 candidate order, statuses, counts and first-mode witnesses, seeded or not,
 are those of the plain tree, and nodes, which counts the pruned tree, can
-only fall.  H depends only on the chosen blocks, so a split leaves the
-tree as it is.  By induction over the skipped siblings every code is the
+only fall.  By induction over the skipped siblings every code is the
 G-image of a code the pruned tree reaches, so an enumeration that lists
 its codes expands those over G.
 
-A search that runs longer than SPLIT_AFTER_S on a host with several CPUs
-hands its open subtrees to forked worker processes, which run the same loop
-on them and send their results back through a pipe each; merged in DFS
-order, they give the serial node counts, counts and witnesses.
-
-search_constrained is the one function that builds and runs a search.  It
-reads COUNTED_MIN_VERTICES, SPLIT_AFTER_S, CHECK_EVERY, _split_workers and
-_symmetry_group when called, so tests force a cover state, a split, a clock
-stride or the plain tree by patching these module names, not through
-parameters.
+search_constrained is the one function that builds and runs a search, in
+the calling process.  It reads COUNTED_MIN_VERTICES, CHECK_EVERY and
+_symmetry_group when called, so tests force a cover state, a clock stride
+or the plain tree by patching these module names, not through parameters.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
@@ -190,58 +183,11 @@ class SearchOutcome:
 # 1.81-1.97, lucas1s:7 1.65-2.14, fib1s:6 1.90-2.15, lucas1s:4 1.14-1.17.
 COUNTED_MIN_VERTICES = 129
 
-# The search reads the clock every CHECK_EVERY nodes, for its deadline and
-# its split alike.  A node costs at most about 60 us on the graphs measured
-# (Lucas n=16, 2,207 vertices), so a time budget overshoots by about 2 ms;
-# one read (about 0.1 us) is under 0.1% of the 4 us nodes of the n=7 graphs.
+# The search reads the clock every CHECK_EVERY nodes, for its deadline.  A
+# node costs at most about 60 us on the graphs measured (Lucas n=16, 2,207
+# vertices), so a time budget overshoots by about 2 ms; one read (about
+# 0.1 us) is under 0.1% of the 4 us nodes of the n=7 graphs.
 CHECK_EVERY = 32
-
-# A search that has run this long splits into its open subtrees, which the
-# CPUs this process may use then search in forked worker processes.  A
-# split costs about 3 ms (fork, then reaping the child), so a search that
-# splits near its end runs slower.  Serial time / time split at 30 ms of
-# prove-none, medians of 15 interleaved runs (5 on Lucas n=16), two rounds
-# on a busy 2-CPU host:
-#
-#   graph           plain tree                pruned by symmetry
-#   Fibonacci n=13    899 nodes  1.00-1.02x     899 nodes  0.90-1.00x
-#   Lucas n=13        716        1.00-1.08x     507        0.98-0.99x
-#   Lucas n=14      1,896        0.93-1.13x   1,427        0.99-1.01x
-#   Fibonacci n=14  2,405        0.93-1.23x   2,405        1.32-1.37x
-#   Lucas n=15      4,752        1.03-1.49x   1,737        1.07-1.18x
-#   Lucas n=16     14,833        1.80-1.90x  10,300        1.88-1.93x
-#
-# The pruned column was measured when each branch point's group was cut
-# only against the blocks taken since the branch point above; the
-# stabilizer of all chosen blocks now takes Lucas n=14 to 1,424 nodes and
-# n=15 to 1,672, with the other counts unchanged.  Pruned Lucas n=15 (about
-# 60-95 ms serial) ends soon after the split, and one subtree held most of
-# the work left (557 of about 680 nodes), so the second process has little
-# to do; splitting it at 10 or 20 ms did not help either.  On the plain
-# tree the refute benchmark (20 s runs, rescaled to a quiet host) read:
-#
-#   split after  runs  frontier_s (Lucas n=15)  wall_s
-#   10 ms        2     0.0701-0.0727 s          0.204-0.208 s
-#   15 ms        2     0.0725-0.0726 s          0.207-0.208 s
-#   20 ms        4     0.0710-0.0726 s          0.204-0.209 s
-#   30 ms        4     0.0748-0.0764 s          0.213-0.219 s
-#
-# 10-20 ms gained about 5% on the plain tree, but on the pruned tree Lucas
-# n=15 gains nothing at 10 or 20 ms (above), and a change moves the split of
-# every refute search that runs near it.  The n=7 graphs do not bear on
-# the choice: enumerate is pruned by symmetry too, and their longest search,
-# the 1,535-node enumeration of lucas1s:7 or fib1s:7, takes about 4 ms
-# (Q7's, 635 nodes, about 2 ms; best of 21 runs on a busy host), far below
-# any of these values.  So 30 ms is kept.
-SPLIT_AFTER_S = 0.03
-
-# At most this many open subtrees are handed out: their indices, 4 bytes
-# each, then fit in one pipe buffer on every platform.  With more open the
-# search goes on and tries again at the next clock read.
-_MAX_SUBTREES = 1024
-
-# run() status of a search that stopped to hand out its open subtrees.
-_SPLIT = "split"
 
 
 class _Blocks:
@@ -506,31 +452,27 @@ class _Orbits:
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect, orbits, split_at=None):
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect, orbits):
         self.order = order
         self.node_budget = node_budget
         self.deadline = deadline
         self.stop_at_first = stop_at_first
         self.orbits = orbits
-        self.split_at = split_at
         self.nodes = 0
         self.count = 0
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
         self.witness: tuple[int, ...] | None = None
-        # After a split: (base state, block to take or None, blocks chosen
-        # above, weight of the subtree's first node).
-        self.subtrees: list[tuple] = []
 
-    def run(self, state, chosen: list[int], weight: int) -> str | None:
-        """Search below state; STATUS_FOUND, STATUS_BUDGET or _SPLIT, or None once complete.
+    def run(self, state) -> str | None:
+        """Search below the root state; STATUS_FOUND, STATUS_BUDGET, or None once complete.
 
-        chosen holds the blocks taken above state, and grows as the search
-        does; weight is state's weight.  Each node covers the vertex that
+        chosen holds the blocks taken above the current node, and weight is
+        its weight, 1 at the root.  Each node covers the vertex that
         state.select() picks: no usable block is a dead end, one is a forced
         move applied to the node's own state, and more push a branch point
         whose children each get a copy of it (the last child takes the
-        original).  At a clock read, every CHECK_EVERY nodes, past split_at,
-        the run keeps its open subtrees and stops.
+        original).  The clock is read every CHECK_EVERY nodes, and a read
+        past the deadline stops the run.
 
         A frame is [state, candidates, next index, len(chosen), weights].
         When it is pushed, chosen holds exactly the blocks above it, and its
@@ -540,21 +482,19 @@ class _CoverSearch:
         """
         node_budget = self.node_budget
         deadline = self.deadline
-        split_at = self.split_at
         orbits = self.orbits
         check_every = CHECK_EVERY
-        nodes = self.nodes
-        next_check = nodes + check_every
+        nodes = 0
+        next_check = check_every
         stack: list[list] = []
+        chosen: list[int] = []
+        weight = 1
         try:
             while True:
                 if nodes >= next_check:
                     next_check += check_every
-                    now = time.monotonic()
-                    if deadline is not None and now > deadline:
+                    if deadline is not None and time.monotonic() > deadline:
                         return STATUS_BUDGET
-                    if split_at is not None and now >= split_at and self._split(state, chosen, stack, weight):
-                        return _SPLIT
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     return STATUS_BUDGET
@@ -593,64 +533,6 @@ class _CoverSearch:
         finally:
             self.nodes = nodes
 
-    def _split(self, state, chosen, stack, weight) -> bool:
-        """Keep the open subtrees in DFS order, if there are 2 to _MAX_SUBTREES.
-
-        The node about to be searched comes first, with its weight, then,
-        for each frame from the top of the stack down, its untried
-        candidates tries[i:], each with the blocks above the frame and its
-        own weight.
-        """
-        if not 2 <= 1 + sum(len(frame[1]) - frame[2] for frame in stack) <= _MAX_SUBTREES:
-            return False
-        subtrees = [(state, None, tuple(chosen), weight)]
-        for base, tries, i, depth, weights in reversed(stack):
-            above = tuple(chosen[:depth])
-            subtrees.extend((base, tries[j], above, weights[j]) for j in range(i, len(tries)))
-        self.subtrees = subtrees
-        return True
-
-    def run_subtree(self, i: int) -> tuple:
-        """Search open subtree i to its end: (status, nodes, count, solutions, witness).
-
-        The subtree's state is built here, by the process that claimed it.
-        """
-        base, v, above, weight = self.subtrees[i]
-        chosen = list(above)
-        if v is None:
-            state = base
-        else:
-            state = base.copy()
-            state.take(v)
-            chosen.append(v)
-        sub = _CoverSearch(
-            self.order, None, self.deadline, self.stop_at_first, self.solutions is not None, self.orbits,
-        )
-        status = sub.run(state, chosen, weight)
-        return status, sub.nodes, sub.count, sub.solutions, sub.witness
-
-    def merge(self, results: dict[int, tuple]) -> str | None:
-        """Add the subtree results in DFS order, up to the first found code.
-
-        That is where the serial loop would have stopped, so the nodes,
-        count, solutions and witness are the serial ones.  A subtree out of
-        time makes the whole search budget-exceeded, counting the nodes of
-        every subtree searched.
-        """
-        if any(result[0] == STATUS_BUDGET for result in results.values()):
-            self.nodes += sum(result[1] for result in results.values())
-            return STATUS_BUDGET
-        for i in range(len(self.subtrees)):
-            status, nodes, count, solutions, witness = results[i]
-            self.nodes += nodes
-            self.count += count
-            if solutions:
-                self.solutions.extend(solutions)
-            if status is not None:
-                self.witness = witness
-                return status
-        return None
-
     def _ordered(self, cands: int) -> list[int]:
         out = []
         while cands:
@@ -677,102 +559,6 @@ def _candidate_order(n_vertices: int, seed: int) -> list[int] | None:
     return ranks
 
 
-def _run_split(search: _CoverSearch, workers: int) -> str | None:
-    """Search the open subtrees in this process and workers - 1 forked children.
-
-    Every process claims subtree indices from one pipe, shallowest (last in
-    DFS order, and largest) first, until none is left or one of its own
-    subtrees runs out of time.  Each child then writes its results, a dict
-    from subtree index to result, with marshal into a pipe that it alone
-    writes, and this process reads every child's pipe to its end once its
-    own claims are done.  A child writes only after its last claim, so a
-    full pipe never holds back a claim.  A subtree after one with a found
-    code is still searched, to its own first code at most, and merge drops
-    it, as the serial loop never reaches it.  A child that fails makes this
-    raise.
-    """
-    # Only a split search needs these; the module imports none of them.
-    import marshal
-    import os
-
-    n_subtrees = len(search.subtrees)
-    tasks_r, tasks_w = os.pipe()
-    os.write(tasks_w, b"".join(i.to_bytes(4, "little") for i in reversed(range(n_subtrees))))
-    os.close(tasks_w)
-
-    def claims():
-        while data := os.read(tasks_r, 4):
-            i = int.from_bytes(data, "little")
-            result = search.run_subtree(i)
-            yield i, result
-            if result[0] == STATUS_BUDGET:
-                return
-
-    children: list[tuple[int, int]] = []  # (pid, read end of the child's results pipe)
-    finished = False
-    try:
-        for _ in range(min(workers, n_subtrees) - 1):
-            results_r, results_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(results_r)
-                os.close(results_w)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(results_r)
-                    with open(results_w, "wb") as out:
-                        marshal.dump(dict(claims()), out)
-                    code = 0
-                finally:
-                    # No atexit handlers, no flush of the stdio buffers copied from the parent.
-                    os._exit(code)
-            os.close(results_w)
-            children.append((pid, results_r))
-        results = dict(claims())
-        for _, results_r in children:
-            # marshal.load on a file would make a call for every value it reads.
-            with open(results_r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                results.update(marshal.loads(data))
-            except EOFError:  # empty or cut short: a child that failed
-                pass
-        finished = True
-    finally:
-        os.close(tasks_r)
-        for _, results_r in children:
-            os.close(results_r)
-        if not finished:
-            import signal  # only here: once imported, a module stays in memory
-
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)  # the search failed or was interrupted
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    if any(statuses):
-        raise RuntimeError(f"a search worker process failed (wait statuses {statuses})")
-    return search.merge(results)
-
-
-def _split_workers() -> int:
-    """Processes a search may use: the CPUs this process may run on, or 1.
-
-    A search stays in one process where os.fork is missing, and beside other
-    threads, which a fork would not copy.
-    """
-    import os
-    import sys
-
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def search_constrained(
     graph: InducedGraph,
     codewords: VertexSet | None,
@@ -791,16 +577,15 @@ def search_constrained(
     to the CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment
     caps, and must be non-negative.
 
-    Five module names are read at each call, and tests patch them to force
-    a cover state, a split, a clock stride or the plain tree:
-    COUNTED_MIN_VERTICES picks the state, a search with no node budget
-    (which stays one global count) splits over the _split_workers()
-    processes, if more than one, at the first clock read, every CHECK_EVERY
-    nodes, past SPLIT_AFTER_S that finds at least two open subtrees, and
-    every search prunes by the group _symmetry_group builds.  An
-    enumeration with collect_witnesses lists every code: the codes the
-    pruned tree reaches and their images under that group, as many as the
-    weighted count (or this raises), in ascending order of their id tuples.
+    Three module names are read at each call, and tests patch them to force
+    a cover state, a clock stride or the plain tree: COUNTED_MIN_VERTICES
+    picks the state, the clock is read for the deadline every CHECK_EVERY
+    nodes, and every search prunes by the group _symmetry_group builds.  The
+    search runs in the calling process, with one node count and one
+    deadline.  An enumeration with collect_witnesses lists every code: the
+    codes the pruned tree reaches and their images under that group, as
+    many as the weighted count (or this raises), in ascending order of their
+    id tuples.
     """
     if node_budget is None:
         node_budget = default_node_budget()
@@ -811,7 +596,6 @@ def search_constrained(
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget} s")
-    workers = _split_workers() if node_budget is None else 1
     blocks = _Blocks(graph)
     n_vertices = len(graph)
 
@@ -819,7 +603,6 @@ def search_constrained(
 
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
-    split_at = started + SPLIT_AFTER_S if workers > 1 else None
     orbits = _Orbits(graph, allowed)
     if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
@@ -832,11 +615,8 @@ def search_constrained(
         mode in (MODE_FIRST, MODE_PROVE_NONE),
         collect_witnesses and mode == MODE_ENUMERATE,
         orbits,
-        split_at,
     )
-    status = search.run(root, [], 1)
-    if status == _SPLIT:
-        status = _run_split(search, workers)
+    status = search.run(root)
     if status is None:
         status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
     witnesses = None

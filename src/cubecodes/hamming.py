@@ -4,9 +4,7 @@ The parity-check matrix H has p rows and n = 2^p - 1 columns, column j
 being the p-bit binary representation of j.  A word is a codeword iff its
 syndrome (the XOR of the indices of its one-positions) is zero, and the
 nonzero syndrome of a non-codeword names the unique position to flip, so
-decoding to the nearest codeword is one syndrome and one bit flip.  The
-syndrome is XOR-linear in the word, so it is read from one 256-entry table
-per 8-bit chunk of the packed word: ceil(n/8) lookups, at most four.
+decoding to the nearest codeword is one syndrome and one bit flip.
 """
 
 from __future__ import annotations
@@ -33,23 +31,11 @@ class HammingCode:
 
     p: int
     n: int = field(init=False)
-    _tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.p <= 5:
             raise ValueError(f"p must be in 2..5, got {self.p}")
-        n = (1 << self.p) - 1
-        object.__setattr__(self, "n", n)
-        # tables[c][b]: the XOR of the positions of the ones of byte b placed
-        # at bits 8c..8c+7; a bit at or above n holds no position and adds 0.
-        tables = []
-        for shift in range(0, n, 8):
-            table = [0] * 256
-            for b in range(1, 256):
-                k = shift + (b & -b).bit_length() - 1
-                table[b] = table[b & (b - 1)] ^ (n - k if k < n else 0)
-            tables.append(tuple(table))
-        object.__setattr__(self, "_tables", tuple(tables))
+        object.__setattr__(self, "n", (1 << self.p) - 1)
 
     def size(self) -> int:
         return 1 << (self.n - self.p)
@@ -57,13 +43,15 @@ class HammingCode:
     def syndrome_bits(self, bits: int) -> int:
         """XOR of the positions (1-based from the left) holding a 1.
 
-        Bit i of that XOR is the parity of the ones under row i of H.  It
-        is the XOR of one table entry per 8-bit chunk of the word.
+        Bit i of that XOR is the parity of the ones under row i of H.  The
+        one at bit k of the packed n-bit word is at position n - k.
         """
+        n = self.n
         syn = 0
-        for table in self._tables:
-            syn ^= table[bits & 0xFF]
-            bits >>= 8
+        while bits:
+            low = bits & -bits
+            syn ^= n - (low.bit_length() - 1)
+            bits ^= low
         return syn
 
     def _check_length(self, w: BitWord):

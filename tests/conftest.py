@@ -3,7 +3,7 @@
 Hypothesis runs derandomized and without deadlines: example generation then
 repeats from run to run, and a slow moment on a shared host cannot fail a
 property test.  Every test must also leave no child process unreaped, so a
-split search that loses track of a forked worker fails the test that ran it.
+test whose code starts a child process and never waits for it fails.
 """
 
 import os

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cubecodes
-from cubecodes import cli, codes
+from cubecodes import cli
 from cubecodes.claims import CLAIM_IDS, ClaimReport
 from cubecodes.cli import build_parser, main
 
@@ -124,43 +124,6 @@ def test_malformed_run_length_is_usage_error(capsys, value):
     code, out, _ = run_cli(capsys, *argv, "4")
     assert code == 0
     assert json.loads(out)["status"] == "found"
-
-
-# Text left in stdout's buffer before the search, then the search split over
-# two processes at its first clock read; the forks are counted on stderr.
-_FORK_HYGIENE = """
-import os, sys
-from cubecodes import cli, codes
-from cubecodes.cli import main
-
-codes.SPLIT_AFTER_S = 0.0
-codes._split_workers = lambda: 2
-forks = []
-fork = os.fork
-os.fork = lambda: forks.append(1) or fork()
-sys.stdout.write("buffered before the search\\n")
-code = main(["search", "--family", "lucas", "--n", "12", "--mode", "prove-none"])
-sys.stderr.write(f"forks={len(forks)}\\n")
-sys.exit(code)
-"""
-
-
-def test_split_search_output_is_the_serial_one(capsys, monkeypatch):
-    src = str(Path(cubecodes.__file__).resolve().parent.parent)
-    child = subprocess.run(
-        [sys.executable, "-c", _FORK_HYGIENE],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
-    )
-    assert child.returncode == 3, child.stderr
-    assert child.stderr == "forks=1\n"
-    lines = child.stdout.splitlines()
-    assert lines[0] == "buffered before the search" and len(lines) == 2
-    monkeypatch.setattr(codes, "_split_workers", lambda: 1)
-    code, out, _ = run_cli(capsys, "search", "--family", "lucas", "--n", "12", "--mode", "prove-none")
-    assert code == 3
-    split, serial = json.loads(lines[1]), json.loads(out)
-    del split["millis"], serial["millis"]
-    assert split == serial
 
 
 def test_entrypoint_reports_length_beyond_the_word_limit():

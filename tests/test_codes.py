@@ -4,7 +4,6 @@ import math
 import os
 import random
 import sys
-import threading
 import time
 
 import pytest
@@ -39,21 +38,14 @@ from cubecodes.graphs import InducedGraph
 W = BitWord.from_string
 
 
-def forced_search(graph, codewords, mode, counted, *, split_after=None, workers=1,
-                  check_every=CHECK_EVERY, **kwargs):
-    """search_constrained in the counted or the bitmap state, split as given.
+def forced_search(graph, codewords, mode, counted, *, check_every=CHECK_EVERY, **kwargs):
+    """search_constrained in the counted or the bitmap state, with the given clock stride.
 
-    Patches the four module names the search reads when called:
-    codes.COUNTED_MIN_VERTICES, codes.SPLIT_AFTER_S, codes._split_workers
-    and codes.CHECK_EVERY.  With split_after None or workers 1 the run is
-    serial, however long it takes.
+    Patches two of the module names the search reads when called:
+    codes.COUNTED_MIN_VERTICES and codes.CHECK_EVERY.
     """
-    if split_after is None:
-        split_after, workers = codes.SPLIT_AFTER_S, 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codes, "COUNTED_MIN_VERTICES", 0 if counted else len(graph) + 1)
-        patch.setattr(codes, "SPLIT_AFTER_S", split_after)
-        patch.setattr(codes, "_split_workers", lambda: workers)
         patch.setattr(codes, "CHECK_EVERY", check_every)
         return search_constrained(graph, codewords, mode, **kwargs)
 
@@ -278,13 +270,12 @@ def test_malformed_env_budget_names_the_variable(monkeypatch, name, value):
         find_perfect_code(build_graph(LUCAS, 12), "prove_none")
 
 
-@pytest.mark.parametrize("split_after, workers", [(None, 1), (0.05, 2)])
-def test_time_budget_stops_near_its_deadline(split_after, workers):
-    # Lucas n=17 prove-none (134k nodes) takes seconds, serial or split over
-    # two processes; both stop within a few clock reads of 0.25 s.
+def test_time_budget_stops_near_its_deadline():
+    # Lucas n=17 prove-none (88k nodes) takes seconds; the search stops
+    # within a few clock reads of 0.25 s.
     g = build_graph(LUCAS, 17)
     start = time.monotonic()
-    out = forced_search(g, None, "prove_none", True, time_budget=0.25, split_after=split_after, workers=workers)
+    out = forced_search(g, None, "prove_none", True, time_budget=0.25)
     assert out.status == "budget-exceeded"
     assert time.monotonic() - start < 1.5
 
@@ -437,32 +428,15 @@ def search_both(graph, codewords, mode, **kwargs):
     return bitmap, counted
 
 
-def search_split(graph, codewords, mode, **kwargs):
-    """search_both, then the same search split at once over 2 and over 3 processes.
-
-    The split comes at the first clock read with two open subtrees: after
-    every node with the bitmap state, every 4 nodes with the counted one.
-    Each split run gives the serial run of its own state, nodes included.
-    """
-    serial = search_both(graph, codewords, mode, **kwargs)
-    for workers, counted, check_every in ((2, False, 1), (3, True, 4)):
-        split = forced_search(
-            graph, codewords, mode, counted,
-            split_after=0.0, workers=workers, check_every=check_every, **kwargs,
-        )
-        assert _fingerprint(split) == _fingerprint(serial[counted]), (workers, counted)
-    return serial
-
-
 def check_against_oracles(graph, codewords=None, seeds=(0, 5)):
-    """Enumerate, listing the codes and weighted, and first mode, serial and split.
+    """Enumerate, listing the codes and weighted, and first mode, in both cover states.
 
     Counts must match the oracles, and the listed codes must not depend on
     the seed.
     """
     count = listed = None
     for seed in seeds:
-        out, _ = search_split(graph, codewords, "enumerate", seed=seed, collect_witnesses=True)
+        out, _ = search_both(graph, codewords, "enumerate", seed=seed, collect_witnesses=True)
         assert out.status == "enumerated"
         masks = [w.mask for w in out.witnesses]
         assert (count, listed) in ((None, None), (out.count, masks))
@@ -470,9 +444,9 @@ def check_against_oracles(graph, codewords=None, seeds=(0, 5)):
         for witness in out.witnesses:
             assert is_perfect_code(graph, witness)
             assert codewords is None or witness.mask & ~codewords.mask == 0
-        weighted, _ = search_split(graph, codewords, "enumerate", seed=seed)
+        weighted, _ = search_both(graph, codewords, "enumerate", seed=seed)
         assert (weighted.status, weighted.count) == ("enumerated", count)
-        first, _ = search_split(graph, codewords, "first", seed=seed)
+        first, _ = search_both(graph, codewords, "first", seed=seed)
         if count:
             assert first.status == "found" and is_perfect_code(graph, first.witness)
         else:
@@ -495,10 +469,9 @@ def test_representations_agree_on_families():
                     ("enumerated", 120) if n == 8 else ("budget-exceeded", 3001)
                 ]
                 if n == 8:
-                    assert [out.nodes for out in search_split(g, None, "enumerate")] == [120, 120]
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(codes, "_symmetry_group", no_symmetry)
-                        assert [out.nodes for out in search_split(g, None, "enumerate")] == [712, 712]
+                        assert [out.nodes for out in search_both(g, None, "enumerate")] == [712, 712]
     for s in range(2, 8):
         for family in (gen_lucas(s), gen_fibonacci(s)):
             check_against_oracles(build_graph(family, 7), seeds=(0, s))
@@ -541,8 +514,7 @@ def test_node_counts_are_pinned(monkeypatch):
     # Sizes of the MRV search tree, bitmap and counted state, first plain
     # and then pruned by symmetry: a change to the selection rule, the
     # tie-break, the candidate order, the dead-end test or the group moves
-    # them.  Split runs of the pruned tree are checked at every split point
-    # further down.
+    # them.
     for family, n, mode, plain, pruned in (
         (LUCAS, 10, "prove_none", (142, 95), (116, 77)),
         (LUCAS, 12, "prove_none", (521, 303), (218, 137)),
@@ -554,11 +526,9 @@ def test_node_counts_are_pinned(monkeypatch):
     ):
         g = build_graph(family, n)
         state = 1 if len(g) >= COUNTED_MIN_VERTICES else 0
-        for group, search, (bitmap_nodes, counted_nodes) in (
-            (no_symmetry, search_split, plain), (codes._symmetry_group, search_both, pruned),
-        ):
+        for group, (bitmap_nodes, counted_nodes) in ((no_symmetry, plain), (codes._symmetry_group, pruned)):
             monkeypatch.setattr(codes, "_symmetry_group", group)
-            bitmap, counted = search(g, None, mode)
+            bitmap, counted = search_both(g, None, mode)
             assert (bitmap.nodes, counted.nodes) == (bitmap_nodes, counted_nodes), (family, n)
             assert find_perfect_code(g, mode).nodes == (bitmap_nodes, counted_nodes)[state]
     assert len(build_graph(HYPERCUBE, 7)) < COUNTED_MIN_VERTICES <= len(build_graph(LUCAS, 12))
@@ -653,9 +623,9 @@ def test_counted_state_holds_a_count_of_63():
     assert forced_search(star, None, "first", True).witness.words() == [BitWord(62, 0)]
 
 
-def test_split_node_counts_are_pinned(monkeypatch):
-    # Long enough to split on a host with two CPUs; the tree stays the serial
-    # one, plain and pruned by symmetry.
+def test_frontier_node_counts_are_pinned(monkeypatch):
+    # The longest prove-none searches of the refute benchmark workload, plain
+    # and pruned by symmetry, at the default settings.
     for family, n, plain, pruned in ((LUCAS, 15, 4752, 1672), (FIBONACCI, 14, 2405, 2405)):
         g = build_graph(family, n)
         for group, nodes in ((no_symmetry, plain), (codes._symmetry_group, pruned)):
@@ -664,54 +634,15 @@ def test_split_node_counts_are_pinned(monkeypatch):
             assert (out.status, out.nodes) == ("exhausted", nodes), (family, n)
 
 
-def test_split_over_more_workers_than_cpus():
-    # Workers contend for the task pipe; every subtree is still searched
-    # once, and the merge is the serial result.
-    workers = len(os.sched_getaffinity(0)) + 3
-    for family, n, mode in ((FIBONACCI, 12, "prove_none"), (HYPERCUBE, 7, "enumerate")):
-        g = build_graph(family, n)
-        counted = len(g) >= COUNTED_MIN_VERTICES
-        serial = forced_search(g, None, mode, counted, collect_witnesses=True)
-        split = forced_search(
-            g, None, mode, counted, collect_witnesses=True,
-            split_after=0.0, workers=workers, check_every=8,
-        )
-        assert _fingerprint(split) == _fingerprint(serial), (family, n)
+def test_search_runs_in_one_process(monkeypatch):
+    # Lucas n=15 prove-none runs for tens of milliseconds, to its end in
+    # this process.
+    def no_fork():
+        raise AssertionError("the search forked")
 
-
-def test_split_stops_at_the_serial_witness():
-    # Every split point of a first-mode search that branches, pruned by the
-    # whole dihedral group: the witness is the serial one, and so is the
-    # node count, whatever later subtrees the other workers searched.
-    q7 = build_graph(HYPERCUBE, 7)
-    avoid = VertexSet.from_family(q7, gen_lucas(7))
-    for seed in (0, 3, 11):
-        serial = forced_search(q7, avoid, "first", False, seed=seed)
-        for check_every in range(1, serial.nodes):
-            split = forced_search(
-                q7, avoid, "first", False, seed=seed,
-                split_after=0.0, workers=2, check_every=check_every,
-            )
-            assert _fingerprint(split) == _fingerprint(serial), (seed, check_every)
-
-
-@pytest.mark.parametrize("n, stride", [(12, 1), (13, 10)])
-def test_pruned_split_at_every_point_is_the_serial_run(n, stride):
-    # A split subtree starts from the group and depth of the frame it
-    # descends from, so the pruned tree is the same wherever the split
-    # falls; a last sibling that took the group of the frame below its own
-    # makes some split runs of Lucas n=12 differ from the serial one.  The
-    # seeded first-mode sweep above runs pruned too.
-    g = build_graph(LUCAS, n)
-    serial = forced_search(g, None, "prove_none", True)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codes, "_symmetry_group", no_symmetry)
-        assert serial.nodes < forced_search(g, None, "prove_none", True).nodes
-    for check_every in range(1, serial.nodes, stride):
-        split = forced_search(
-            g, None, "prove_none", True, split_after=0.0, workers=2, check_every=check_every,
-        )
-        assert _fingerprint(split) == _fingerprint(serial), check_every
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = find_perfect_code(build_graph(LUCAS, 15), "prove_none")
+    assert (out.status, out.nodes) == ("exhausted", 1672)
 
 
 def disjoint_k2_pieces(n_pieces):
@@ -720,102 +651,18 @@ def disjoint_k2_pieces(n_pieces):
     return InducedGraph(11, sorted(x << 1 | b for x in xs for b in (0, 1)))
 
 
-@pytest.mark.parametrize("check_every", [4, 6, 8])
-def test_split_results_of_many_workers_stay_apart(check_every):
-    # Each worker sends thousands of witnesses, records far longer than an
-    # atomic pipe write; no worker's records may mix with another's.  Mixed
-    # records depend on how the processes interleave, so each split runs
-    # several times.
+def test_enumerate_lists_the_codes_of_disjoint_pieces():
+    # 2^14 codes, one leaf each: each piece offers two blocks and no symmetry
+    # joins them.
     g = disjoint_k2_pieces(14)
-    serial = forced_search(g, None, "enumerate", False, collect_witnesses=True)
-    assert serial.count == 1 << 14
-    for attempt in range(5):
-        split = forced_search(
-            g, None, "enumerate", False, collect_witnesses=True,
-            split_after=0.0, workers=4, check_every=check_every,
-        )
-        assert _fingerprint(split) == _fingerprint(serial), attempt
+    out = forced_search(g, None, "enumerate", False, collect_witnesses=True)
+    assert (out.status, out.count, len(out.witnesses)) == ("enumerated", 1 << 14, 1 << 14)
+    assert count_perfect_codes_dfs(g) == 1 << 14
 
 
-@pytest.mark.parametrize("failing, error", [("child", RuntimeError), ("parent", ZeroDivisionError)])
-def test_split_raises_when_a_process_fails(monkeypatch, failing, error):
-    # A subtree search that raises in a forked worker fails the whole search;
-    # one that raises in this process propagates.  Either way every worker
-    # is reaped, which the conftest fixture checks.  The other processes
-    # pause before each subtree, so the failing ones get subtrees to claim.
-    parent = os.getpid()
-    run_subtree = codes._CoverSearch.run_subtree
-
-    def failing_run_subtree(search, i):
-        if (os.getpid() != parent) == (failing == "child"):
-            raise ZeroDivisionError("subtree search failed")
-        time.sleep(0.05)
-        return run_subtree(search, i)
-
-    monkeypatch.setattr(codes._CoverSearch, "run_subtree", failing_run_subtree)
-    with pytest.raises(error, match="worker" if failing == "child" else "subtree"):
-        forced_search(build_graph(LUCAS, 12), None, "prove_none", True, split_after=0.0, workers=3, check_every=8)
-
-
-def test_split_closes_its_pipes_when_fork_fails(monkeypatch):
-    # The second fork fails: the error propagates, the first worker is
-    # reaped, and no pipe end stays open.
-    fork = os.fork
-    forks = []
-
-    def failing_fork():
-        forks.append(1)
-        if len(forks) > 1:
-            raise BlockingIOError("fork refused")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    fds = sorted(os.listdir("/proc/self/fd"))
-    with pytest.raises(BlockingIOError, match="fork refused"):
-        forced_search(build_graph(LUCAS, 12), None, "prove_none", True, split_after=0.0, workers=3, check_every=8)
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
-@pytest.fixture
-def counted_forks(monkeypatch):
-    """Split every search at its first clock read and count the forks."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(codes, "SPLIT_AFTER_S", 0.0)
-    return forks
-
-
-def test_split_uses_every_cpu_and_only_one_thread(counted_forks, monkeypatch):
-    g = build_graph(LUCAS, 12)
-    for group, nodes in ((no_symmetry, 303), (codes._symmetry_group, 137)):
-        monkeypatch.setattr(codes, "_symmetry_group", group)
-        counted_forks.clear()
-        assert find_perfect_code(g, "prove_none").nodes == nodes
-        assert len(counted_forks) == len(os.sched_getaffinity(0)) - 1
-        counted_forks.clear()
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert find_perfect_code(g, "prove_none").nodes == nodes
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert find_perfect_code(g, "prove_none", node_budget=10**6).nodes == nodes
-        assert counted_forks == []
-
-
-def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
-    # Split workers reuse the parent's group through run_subtree; the counter
-    # sees only this process's builds.  An enumeration that lists its codes
-    # and a first-mode search that never backtracks build one too.
+def test_group_is_built_once_per_pruning_search(monkeypatch):
+    # Also for an enumeration that lists its codes and for a first-mode
+    # search that never backtracks.
     builds = []
     symmetry_group = codes._symmetry_group
 
@@ -826,12 +673,10 @@ def test_group_is_built_once_per_pruning_search(counted_forks, monkeypatch):
     monkeypatch.setattr(codes, "_symmetry_group", counted_group)
     g = build_graph(LUCAS, 12)
     for mode in ("first", "prove_none"):
-        # split at the first clock read, then serial under a node budget
-        for node_budget, forks in ((None, len(os.sched_getaffinity(0)) - 1), (10**6, 0)):
+        for node_budget in (None, 10**6):
             builds.clear()
-            counted_forks.clear()
             assert find_perfect_code(g, mode, node_budget=node_budget).nodes == 137
-            assert (len(builds), len(counted_forks)) == (1, forks), (mode, node_budget)
+            assert builds == [1], (mode, node_budget)
     builds.clear()
     assert find_perfect_code(g, "enumerate").count == 0
     assert builds == [1]
@@ -902,7 +747,7 @@ def audit_pruning(patch):
 
     The group must be exactly the elements of G that map all chosen blocks
     onto themselves: each of them makes a skipped candidate safe, and the
-    group may depend on nothing else, or a split would change the tree.
+    group may depend on nothing else.
     The test reads the chosen blocks from the caller, _CoverSearch.run,
     where they are exactly the blocks above the frame being pushed, and
     works the stabilizer out from group_maps.  The kept candidates must be
@@ -997,20 +842,19 @@ def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
 
 
 @pytest.mark.parametrize(
-    "family, counted, count", [(HYPERCUBE, True, 240), (gen_lucas(7), False, 210)], ids=["qn", "lucas1s:7"],
+    "family, counted, count, nodes",
+    [(HYPERCUBE, True, 240, 635), (gen_lucas(7), False, 210, 1535)],
+    ids=["qn", "lucas1s:7"],
 )
-def test_weighted_enumerate_split_at_every_point_is_the_serial_run(family, counted, count):
-    # A split subtree carries its first node's weight in its origin, so the
-    # merged count, like the node count, is the serial one wherever the
-    # split falls, in either cover state.
+def test_weighted_enumerate_counts_every_code(family, counted, count, nodes):
+    # The weighted count of the pruned tree is the oracle's.  A clock read at
+    # every node, with a deadline far off, leaves the run as it is.
     g = build_graph(family, 7)
-    serial = forced_search(g, None, "enumerate", counted)
-    assert serial.count == count == count_perfect_codes_dfs(g)
-    for check_every in range(1, serial.nodes):
-        split = forced_search(
-            g, None, "enumerate", counted, split_after=0.0, workers=2, check_every=check_every,
-        )
-        assert _fingerprint(split) == _fingerprint(serial), check_every
+    out = forced_search(g, None, "enumerate", counted)
+    assert (out.status, out.count, out.nodes) == ("enumerated", count, nodes)
+    assert count == count_perfect_codes_dfs(g)
+    timed = forced_search(g, None, "enumerate", counted, check_every=1, time_budget=3600.0)
+    assert _fingerprint(timed) == _fingerprint(out)
 
 
 def test_listed_codes_are_every_code(monkeypatch):

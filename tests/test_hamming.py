@@ -55,10 +55,9 @@ def test_sizes_and_all_ones():
 def syndrome_by_positions(n: int, bits: int) -> int:
     """The definition: XOR of the 1-based positions, from the left, holding a 1."""
     syn = 0
-    while bits:
-        low = bits & -bits
-        syn ^= n - (low.bit_length() - 1)
-        bits ^= low
+    for position, digit in enumerate(format(bits, f"0{n}b"), 1):
+        if digit == "1":
+            syn ^= position
     return syn
 
 
@@ -76,7 +75,6 @@ def test_syndrome_and_codewords_match_the_definition():
 @example(bits=(1 << 31) - 1)
 @example(bits=1 << 30)
 def test_syndrome_of_31_bit_words_matches_the_definition(bits):
-    # p = 5 reads four byte tables, the last one holding seven positions
     assert build_hamming(5).syndrome_bits(bits) == syndrome_by_positions(31, bits)
 
 
