@@ -28,9 +28,11 @@ counts and witnesses, and the counted state searches fewer nodes.
 The search skips subtrees that a symmetry maps onto a sibling already
 searched, and enumerate counts each subtree it keeps once for every one it
 stands for.  G is the group generated by the rotation of the n coordinates
-and their reversal, each kept only if it maps the vertex set and the set of
-allowed blocks onto themselves; it is built once per search, checking each
-generator in O(V), and a generator that fails is dropped.  A coordinate
+and their reversal, each kept only if it maps the vertex set and the set
+of allowed blocks onto themselves; it is built once per search, checking
+each generator in O(V), and a generator that fails is dropped.  Each
+element is held as a list of vertex ids, the id of each vertex's image, so
+the search below the group build works on ids alone.  A coordinate
 permutation moves no Hamming distance, so every element of G is an
 automorphism of the graph that maps allowed blocks to allowed blocks.  For
 lucas, lucas1s:s, and qn (also with the codewords held to a rotation- and
@@ -354,110 +356,99 @@ def _reversed_words(words, n: int) -> list[int]:
     return [w >> shift for w in flipped]
 
 
-def _symmetry_group(graph: InducedGraph, allowed: int) -> list[tuple[list[int], int, int]]:
+def _symmetry_group(graph: InducedGraph, allowed: int) -> list[list[int]]:
     """The rotations and reversals of the coordinates that map the search onto itself.
 
-    allowed is the bitmap of the ids whose blocks are allowed, and the words
-    of the vertices outside it are the banned words; there are none when it
-    holds every id.  The rotation by one position and the reversal are
-    checked, each in O(V): one that maps the vertex words and the banned
-    words into themselves maps each set onto itself, since it is one-to-one
-    on words.  It moves no Hamming distance, so it is an automorphism of the
-    graph that maps the allowed blocks onto the allowed blocks.  A generator that fails
-    is dropped.  The group they generate is returned less its identity, as
-    elements (source, k, n - k): vertex x goes to the word source[x] rotated
-    left by k positions, where source is the vertex words or their
-    reversals.  Below n = 3 the group is left empty: there the rotation is
-    the reversal or the identity.
+    allowed is the bitmap of the ids whose blocks are allowed; the others
+    are banned.  Each element is a list g of vertex ids, g[x] the id of the
+    image of vertex x.  The rotation by one position and the reversal are
+    checked once each, in O(V), as id maps through graph.index: a generator
+    is kept only if every image is a vertex and no banned id maps to an
+    allowed one.  It is then one-to-one on ids and on the banned ids, so it
+    maps the vertices, the banned and the allowed blocks onto themselves,
+    and it moves no Hamming distance, so it is an automorphism of the graph.
+    The group the kept generators generate is built by composing their
+    lists, in O(n · V), and returned less its identity, each element once:
+    the powers of the rotation, then the reversal followed by each of them.
+    Below n = 3 the group is left empty: there the rotation is the reversal
+    or the identity.
     """
     n = graph.n
     if n < 3:
         return []
     words = graph.vertices
     index = graph.index
-    banned = set(VertexSet(graph, ((1 << len(words)) - 1) & ~allowed).word_bits())
+    banned = VertexSet(graph, ((1 << len(words)) - 1) & ~allowed).ids()
+
+    def id_map(images: list[int]) -> list[int] | None:
+        g = [index.get(w) for w in images]
+        if None in g or any(allowed >> g[x] & 1 for x in banned):
+            return None
+        return g
+
     full = (1 << n) - 1
     m = n - 1
-    rotations = range(1, n)
-    if not (all([((w << 1) | (w >> m)) & full in index for w in words])
-            and all([((w << 1) | (w >> m)) & full in banned for w in banned])):
-        rotations = ()
-    group = [(words, k, n - k) for k in rotations]
-    reversals = _reversed_words(words, n)
-    if all([w in index for w in reversals]) and all([w in banned for w in _reversed_words(banned, n)]):
-        group += [(reversals, k, n - k) for k in (0, *rotations)]
-    return group
+    identity = list(range(len(words)))
+    rotations = []
+    rotation = id_map([((w << 1) | (w >> m)) & full for w in words])
+    if rotation is not None:
+        power = rotation
+        while power != identity:
+            rotations.append(power)
+            power = [rotation[x] for x in power]
+    reversal = id_map(_reversed_words(words, n))
+    if reversal is None or reversal == identity or reversal in rotations:
+        return rotations
+    return [*rotations, reversal, *([g[x] for x in reversal] for g in rotations)]
 
 
-class _Orbits:
-    """The group G of one search, as _symmetry_group returns it, and the pruning's steps."""
+def _stabilizer(group: list[list[int]], chosen: list[int]) -> list[list[int]]:
+    """The elements of the group that map the chosen blocks onto themselves."""
+    taken = set(chosen)
+    kept = []
+    for g in group:
+        for x in chosen:
+            if g[x] not in taken:
+                break
+        else:
+            kept.append(g)
+    return kept
 
-    __slots__ = ("group", "words", "index", "full")
 
-    def __init__(self, graph: InducedGraph, allowed: int):
-        self.group = _symmetry_group(graph, allowed)
-        self.words = graph.vertices
-        self.index = graph.index
-        self.full = (1 << graph.n) - 1
+def _firsts(group: list[list[int]], tries: list[int], weight: int) -> tuple[list[int], list[int]]:
+    """The first of tries in each orbit of the group, in the order of tries,
+    and each one's weight: weight times how many of tries its orbit holds."""
+    last = tries[-1]
+    orbit_of: dict[int, int] = {}  # id -> index of its orbit's first try
+    firsts = []
+    weights = []
+    for x in tries:
+        j = orbit_of.get(x)
+        if j is not None:
+            weights[j] += weight
+            continue
+        if x != last:  # no later try to look up
+            j = len(firsts)
+            orbit_of.update({g[x]: j for g in group})
+        firsts.append(x)
+        weights.append(weight)
+    return firsts, weights
 
-    def stabilizer(self, chosen: list[int]) -> list:
-        """The elements of G that map the chosen blocks onto themselves."""
-        if not self.group:
-            return []
-        words = self.words
-        full = self.full
-        taken = {words[x] for x in chosen}
-        kept = []
-        for g in self.group:
-            source, k, m = g
-            for x in chosen:
-                w = source[x]
-                if ((w << k) | (w >> m)) & full not in taken:
-                    break
-            else:
-                kept.append(g)
-        return kept
 
-    def firsts(self, group: list, tries: list[int], weight: int) -> tuple[list[int], list[int]]:
-        """The first of tries in each orbit of the group, in the order of tries,
-        and each one's weight: weight times how many of tries its orbit holds."""
-        words = self.words
-        full = self.full
-        last = tries[-1]
-        orbit_of: dict[int, int] = {}  # word -> index of its orbit's first try
-        firsts = []
-        weights = []
-        for x in tries:
-            j = orbit_of.get(words[x])
-            if j is not None:
-                weights[j] += weight
-                continue
-            if x != last:  # no later try to look up
-                j = len(firsts)
-                orbit_of.update({((source[x] << k) | (source[x] >> m)) & full: j for source, k, m in group})
-            firsts.append(x)
-            weights.append(weight)
-        return firsts, weights
-
-    def images(self, code: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """The code and its images under G, each as its ids in ascending order."""
-        index = self.index
-        full = self.full
-        out = {tuple(sorted(code))}
-        for source, k, m in self.group:
-            out.add(tuple(sorted(index[((source[x] << k) | (source[x] >> m)) & full] for x in code)))
-        return out
+def _images(group: list[list[int]], code: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The code and its images under the group, each as its ids in ascending order."""
+    return {tuple(sorted(code)), *(tuple(sorted([g[x] for x in code])) for g in group)}
 
 
 class _CoverSearch:
     """One backtracking run on an explicit stack of branch points."""
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect, orbits):
+    def __init__(self, order, node_budget, deadline, stop_at_first, collect, group):
         self.order = order
         self.node_budget = node_budget
         self.deadline = deadline
         self.stop_at_first = stop_at_first
-        self.orbits = orbits
+        self.group = group
         self.nodes = 0
         self.count = 0
         self.solutions: list[tuple[int, ...]] | None = [] if collect else None
@@ -482,7 +473,7 @@ class _CoverSearch:
         """
         node_budget = self.node_budget
         deadline = self.deadline
-        orbits = self.orbits
+        group = self.group
         check_every = CHECK_EVERY
         nodes = 0
         next_check = check_every
@@ -508,7 +499,7 @@ class _CoverSearch:
                 else:
                     cands = state.select()
                     if cands & (cands - 1):
-                        tries, weights = orbits.firsts(orbits.stabilizer(chosen), self._ordered(cands), weight)
+                        tries, weights = _firsts(_stabilizer(group, chosen), self._ordered(cands), weight)
                         stack.append([state, tries, 0, len(chosen), weights])
                     elif cands:
                         v = cands.bit_length() - 1
@@ -603,7 +594,7 @@ def search_constrained(
 
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
-    orbits = _Orbits(graph, allowed)
+    group = _symmetry_group(graph, allowed)
     if n_vertices >= COUNTED_MIN_VERTICES:
         root = _CountedCover.root(blocks, allowed)
     else:
@@ -614,14 +605,14 @@ def search_constrained(
         deadline,
         mode in (MODE_FIRST, MODE_PROVE_NONE),
         collect_witnesses and mode == MODE_ENUMERATE,
-        orbits,
+        group,
     )
     status = search.run(root)
     if status is None:
         status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
     witnesses = None
     if status == STATUS_ENUMERATED and search.solutions is not None:
-        listed = {code for sol in search.solutions for code in orbits.images(sol)}
+        listed = {code for sol in search.solutions for code in _images(group, sol)}
         if len(listed) != search.count:
             raise RuntimeError(f"listed {len(listed)} codes, but the weighted count is {search.count}")
         witnesses = [VertexSet.from_ids(graph, code) for code in sorted(listed)]

@@ -10,6 +10,7 @@ decoding to the nearest codeword is one syndrome and one bit flip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .limits import ResourceLimitError
 from .words import BitWord, gen_lucas
@@ -73,7 +74,7 @@ class HammingCode:
         return BitWord(self.n, self.decode_bits(w.bits))
 
     def codeword_bits(self) -> list[int]:
-        """All codewords as packed integers, ascending."""
+        """All codewords as packed integers, ascending, in a fresh list."""
         if self.p > MATERIALIZE_MAX_P:
             raise ResourceLimitError(
                 f"materializing 2^{self.n - self.p} codewords refused for p={self.p};"
@@ -81,27 +82,7 @@ class HammingCode:
                 "hamming_materialize_max_p",
                 MATERIALIZE_MAX_P,
             )
-        # One generator row per data position j (not a power of two): a 1 at
-        # j and at the parity positions 2^i for the set bits i of j, so its
-        # syndrome is j ^ j = 0.  Each row alone holds its data position, so
-        # the 2^(n-p) sums of rows are distinct: the whole code.  A Gray-code
-        # walk visits them by flipping one row per step.
-        n = self.n
-        rows = []
-        for j in range(1, n + 1):
-            if j & (j - 1):
-                row = 1 << (n - j)
-                for i in range(self.p):
-                    if j >> i & 1:
-                        row |= 1 << (n - (1 << i))
-                rows.append(row)
-        words = [0]
-        word = 0
-        for k in range(1, 1 << len(rows)):
-            word ^= rows[(k & -k).bit_length() - 1]
-            words.append(word)
-        words.sort()
-        return words
+        return list(_codeword_bits(self.p))
 
     def codewords(self) -> list[BitWord]:
         return [BitWord(self.n, bits) for bits in self.codeword_bits()]
@@ -125,6 +106,34 @@ class HammingCode:
                     mask |= 1 << (self.n - j)
             rows.append(mask)
         return rows
+
+
+@cache
+def _codeword_bits(p: int) -> tuple[int, ...]:
+    """The codewords of the Hamming code with parameter p, packed, ascending.
+
+    One generator row per data position j (not a power of two): a 1 at j
+    and at the parity positions 2^i for the set bits i of j, so its
+    syndrome is j ^ j = 0.  Each row alone holds its data position, so the
+    2^(n-p) sums of rows are distinct: the whole code.  A Gray-code walk
+    visits them by flipping one row per step.  Computed once per p.
+    """
+    n = (1 << p) - 1
+    rows = []
+    for j in range(1, n + 1):
+        if j & (j - 1):
+            row = 1 << (n - j)
+            for i in range(p):
+                if j >> i & 1:
+                    row |= 1 << (n - (1 << i))
+            rows.append(row)
+    words = [0]
+    word = 0
+    for k in range(1, 1 << len(rows)):
+        word ^= rows[(k & -k).bit_length() - 1]
+        words.append(word)
+    words.sort()
+    return tuple(words)
 
 
 def build_hamming(p: int) -> HammingCode:

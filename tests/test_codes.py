@@ -717,29 +717,35 @@ def dihedral_images(bits, n):
 
 
 def group_maps(words, group):
-    """Each group element as a dict from vertex word to image word.
-
-    Element (source, k, m) rotates source[x] left by k of its k + m bits.
-    """
-    return [
-        {words[x]: ((source[x] << k) | (source[x] >> m)) & ((1 << (k + m)) - 1) for x in range(len(words))}
-        for source, k, m in group
-    ]
+    """Each group element, a list g of ids with g[x] the id of x's image, as a
+    dict from vertex word to image word."""
+    return [{words[x]: words[g[x]] for x in range(len(words))} for g in group]
 
 
 def expected_group_size(graph, banned):
     """Elements other than the identity of the group that the rotation and the
-    reversal generate, counting each only if it maps the vertex words and the
-    banned words onto themselves; for n >= 3."""
+    reversal generate, counting each generator only if it maps the vertex
+    words and the banned words onto themselves, and each element once as a
+    map of the vertex words; for n >= 3."""
     n = graph.n
     vertices = set(graph.vertices)
+
+    def rotate(w, k):
+        return int(str(circulation(BitWord(n, w), k + 1)), 2)
+
+    def reverse(w):
+        return int(str(BitWord(n, w))[::-1], 2)
 
     def keeps(image):
         return {image(w) for w in vertices} == vertices and {image(w) for w in banned} == banned
 
-    rotation = keeps(lambda w: int(str(circulation(BitWord(n, w), 2)), 2))
-    reversal = keeps(lambda w: int(str(BitWord(n, w))[::-1], 2))
-    return (n - 1) * rotation + (n if rotation else 1) * reversal
+    rotations = range(n) if keeps(lambda w: rotate(w, 1)) else (0,)
+    reflections = (False, True) if keeps(reverse) else (False,)
+    maps = {
+        tuple(rotate(reverse(w) if reflect else w, k) for w in graph.vertices)
+        for k in rotations for reflect in reflections
+    }
+    return len(maps - {tuple(graph.vertices)})
 
 
 def audit_pruning(patch):
@@ -748,32 +754,29 @@ def audit_pruning(patch):
     The group must be exactly the elements of G that map all chosen blocks
     onto themselves: each of them makes a skipped candidate safe, and the
     group may depend on nothing else.
-    The test reads the chosen blocks from the caller, _CoverSearch.run,
-    where they are exactly the blocks above the frame being pushed, and
-    works the stabilizer out from group_maps.  The kept candidates must be
-    the first of each orbit, and each one's weight the frame's weight times
-    the number of candidates in its orbit.
+    The test reads the chosen blocks and G from the caller, _CoverSearch.run,
+    where chosen holds exactly the blocks above the frame being pushed, and
+    works the stabilizer out from the image set of each element.  The kept
+    candidates must be the first of each orbit, and each one's weight the
+    frame's weight times the number of candidates in its orbit.
     """
-    firsts = codes._Orbits.firsts
-    maps = {}  # _Orbits -> group_maps of its G
+    firsts = codes._firsts
 
-    def audited(orbits, group, tries, weight):
-        chosen = sys._getframe(1).f_locals["chosen"]
-        words = orbits.words
-        if orbits not in maps:
-            maps[orbits] = group_maps(words, orbits.group)
-        taken = {words[x] for x in chosen}
-        assert group == [g for g, image in zip(orbits.group, maps[orbits]) if {image[w] for w in taken} == taken]
-        kept, weights = firsts(orbits, group, tries, weight)
+    def audited(group, tries, weight):
+        caller = sys._getframe(1).f_locals
+        chosen = caller["chosen"]
+        taken = set(chosen)
+        assert group == [g for g in caller["self"].group if {g[x] for x in chosen} == taken]
+        kept, weights = firsts(group, tries, weight)
 
         def orbit(x):
-            return {words[x]} | {((source[x] << k) | (source[x] >> m)) & orbits.full for source, k, m in group}
+            return {x} | {g[x] for g in group}
 
-        assert kept == [x for i, x in enumerate(tries) if not any(words[x] in orbit(y) for y in tries[:i])]
-        assert weights == [weight * sum(words[y] in orbit(x) for y in tries) for x in kept]
+        assert kept == [x for i, x in enumerate(tries) if not any(x in orbit(y) for y in tries[:i])]
+        assert weights == [weight * sum(y in orbit(x) for y in tries) for x in kept]
         return kept, weights
 
-    patch.setattr(codes._Orbits, "firsts", audited)
+    patch.setattr(codes, "_firsts", audited)
 
 
 def test_refute_ops_keep_status_and_never_search_more(monkeypatch):
@@ -876,7 +879,7 @@ def test_listed_codes_are_every_code(monkeypatch):
     for image in group_maps(q7.vertices, group):
         assert {frozenset(image[w] for w in code) for code in found} == found
     # Codes left unexpanded fall short of the weighted count.
-    monkeypatch.setattr(codes._Orbits, "images", lambda orbits, code: {tuple(sorted(code))})
+    monkeypatch.setattr(codes, "_images", lambda group, code: {tuple(sorted(code))})
     with pytest.raises(RuntimeError, match="weighted count is 240"):
         find_perfect_code(q7, "enumerate", collect_witnesses=True)
 
@@ -938,3 +941,48 @@ def test_group_keeps_only_generators_that_map_the_search_onto_itself(graph, bann
     for image in group_maps(graph.vertices, group):
         assert set(image.values()) == set(graph.vertices)
         assert {image[w] for w in banned} == banned
+
+
+def check_id_permutations(graph, allowed, group):
+    """Each element is a bijection on the ids that maps each closed
+    neighbourhood N[x] onto N[g[x]] and the allowed ids into themselves, and
+    the group with the identity is closed under composition and holds no
+    element twice."""
+    ids = range(len(graph))
+    elements = {tuple(ids)} | {tuple(g) for g in group}
+    assert len(elements) == len(group) + 1
+    for g in group:
+        assert sorted(g) == list(ids)
+        for x in ids:
+            assert sum(1 << g[y] for y in VertexSet(graph, graph.closed_mask(x)).ids()) == graph.closed_mask(g[x])
+            assert not allowed >> x & 1 or allowed >> g[x] & 1
+    for a in elements:
+        for b in elements:
+            assert tuple(a[y] for y in b) in elements
+
+
+def test_group_elements_are_id_permutations_on_families():
+    for family in (HYPERCUBE, FIBONACCI, LUCAS, gen_lucas(3), gen_fibonacci(3)):
+        for n in range(0, 10):
+            g = build_graph(family, n)
+            for banned in (set(), dihedral_images(g.vertices[-1], n)):
+                allowed = codewords_outside(g, banned).mask
+                check_id_permutations(g, allowed, codes._symmetry_group(g, allowed))
+
+
+@settings(max_examples=200)
+@given(graph=induced_graphs(max_words=64), banned=st.sets(st.integers(0, 63), max_size=6), closed=st.booleans())
+def test_group_elements_are_id_permutations_on_random_graphs(graph, banned, closed):
+    # With closed, the words and the banned words are closed under rotation
+    # and reversal, so both generators are kept.
+    n = graph.n
+    if closed:
+        graph = InducedGraph(n, sorted({w for v in graph.vertices for w in dihedral_images(v, n)}))
+        banned = {w for v in banned if v >> n == 0 for w in dihedral_images(v, n)}
+    allowed = codewords_outside(graph, banned).mask
+    group = codes._symmetry_group(graph, allowed)
+    if n < 3:
+        assert group == []
+    else:
+        assert len(group) == expected_group_size(graph, {w for w in banned if w in graph.index})
+    check_id_permutations(graph, allowed, group)

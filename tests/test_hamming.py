@@ -68,6 +68,10 @@ def test_syndrome_and_codewords_match_the_definition():
         syndromes = [syndrome_by_positions(n, bits) for bits in range(1 << n)]
         assert [code.syndrome_bits(bits) for bits in range(1 << n)] == syndromes
         assert code.codeword_bits() == [bits for bits in range(1 << n) if syndromes[bits] == 0]
+        # The codewords are computed once per p; each call hands out its own list.
+        handed_out = code.codeword_bits()
+        handed_out.reverse()
+        assert code.codeword_bits() == [bits for bits in range(1 << n) if syndromes[bits] == 0]
 
 
 @given(bits=st.integers(0, (1 << 31) - 1))
