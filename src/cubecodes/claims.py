@@ -22,6 +22,7 @@ Claim ids (stable, used by the command line):
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .words import (
@@ -30,8 +31,8 @@ from .words import (
     LUCAS,
     HYPERCUBE,
     count_weight_level,
-    enumerate_family,
     gen_lucas,
+    iter_family_bits,
 )
 from .graphs import VertexSet, build_graph, word_bitmap
 from .codes import (
@@ -110,16 +111,16 @@ def check_weight_counts(n_max: int = 14) -> ClaimReport:
     def body():
         levels = 0
         for n in range(n_max + 1):
-            lucas = enumerate_family(LUCAS, n)
-            fib = enumerate_family(FIBONACCI, n)
+            lucas_bits = list(iter_family_bits(LUCAS, n))
+            top = 1 << n >> 1  # the first coordinate; 0 at n = 0, where no word has one
+            lucas = Counter(b.bit_count() for b in lucas_bits)
+            lead = Counter(b.bit_count() for b in lucas_bits if b & top)
+            fib = Counter(b.bit_count() for b in iter_family_bits(FIBONACCI, n))
             for k in range(n + 1):
-                by_weight = sum(1 for w in lucas if w.weight() == k)
-                _require(count_weight_level(LUCAS, n, k) == by_weight, family="lucas", n=n, k=k)
-                by_weight = sum(1 for w in fib if w.weight() == k)
-                _require(count_weight_level(FIBONACCI, n, k) == by_weight, family="fib", n=n, k=k)
-                lead = sum(1 for w in lucas if w.weight() == k and n and w.bit(1) == 1)
+                _require(count_weight_level(LUCAS, n, k) == lucas[k], family="lucas", n=n, k=k)
+                _require(count_weight_level(FIBONACCI, n, k) == fib[k], family="fib", n=n, k=k)
                 _require(
-                    count_weight_level(LUCAS, n, k, leading_one=True) == lead,
+                    count_weight_level(LUCAS, n, k, leading_one=True) == lead[k],
                     family="lucas^1", n=n, k=k,
                 )
                 levels += 3
@@ -197,6 +198,7 @@ def check_low_weight_structure(n_set=tuple(range(6, 15))) -> ClaimReport:
     params = {"n_set": list(n_set)}
 
     def body():
+        _require(bool(n_set), n_set=[], stage="precondition n_set is not empty")
         for n in n_set:
             _require(n >= 6, n=n, stage="precondition n >= 6")
             graph = build_graph(LUCAS, n)
@@ -296,6 +298,7 @@ def check_hypercube_avoidance(
     params = {"n_set": list(n_set)}
 
     def body():
+        _require(bool(n_set), n_set=[], stage="precondition n_set is not empty")
         counts = {}
         nodes = 0  # summed over every search
         for n in n_set:
@@ -359,6 +362,7 @@ def check_full_run_construction(p_set=(2, 3, 4)) -> ClaimReport:
     params = {"p_set": list(p_set)}
 
     def body():
+        _require(bool(p_set), p_set=[], stage="precondition p_set is not empty")
         orders = {}
         for p in p_set:
             code = construct_gen_lucas_code(p, S_KIND_FULL)
@@ -394,6 +398,7 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
     params = {"p_set": list(p_set)}
 
     def body():
+        _require(bool(p_set), p_set=[], stage="precondition p_set is not empty")
         orders = {}
         for p in p_set:
             codeword_bits = build_hamming(p).codeword_bits()

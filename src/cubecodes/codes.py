@@ -59,12 +59,14 @@ G-image of a code the pruned tree reaches, so an enumeration that lists
 its codes expands those over G.
 
 search_constrained is the one function that builds and runs a search, in
-the calling process.  It reads COUNTED_MIN_VERTICES, CHECK_EVERY and
-_symmetry_group when called, so tests force a cover state, a clock stride
-or the plain tree by patching these module names, not through parameters.
+the calling process.  It reads COUNTED_MIN_VERTICES and _symmetry_group
+when called, so tests force a cover state or the plain tree by patching
+these module names, not through parameters.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
+Both budgets are tested at every node, so a time budget stops the search
+within one node of its deadline.
 """
 
 from __future__ import annotations
@@ -184,12 +186,6 @@ class SearchOutcome:
 # enumerate tree the n=7 graphs still lose (two rounds, same method): Q7
 # 1.81-1.97, lucas1s:7 1.65-2.14, fib1s:6 1.90-2.15, lucas1s:4 1.14-1.17.
 COUNTED_MIN_VERTICES = 129
-
-# The search reads the clock every CHECK_EVERY nodes, for its deadline.  A
-# node costs at most about 60 us on the graphs measured (Lucas n=16, 2,207
-# vertices), so a time budget overshoots by about 2 ms; one read (about
-# 0.1 us) is under 0.1% of the 4 us nodes of the n=7 graphs.
-CHECK_EVERY = 32
 
 
 class _Blocks:
@@ -462,8 +458,7 @@ class _CoverSearch:
         state.select() picks: no usable block is a dead end, one is a forced
         move applied to the node's own state, and more push a branch point
         whose children each get a copy of it (the last child takes the
-        original).  The clock is read every CHECK_EVERY nodes, and a read
-        past the deadline stops the run.
+        original).  Each node first tests the node budget and the deadline.
 
         A frame is [state, candidates, next index, len(chosen), weights].
         When it is pushed, chosen holds exactly the blocks above it, and its
@@ -474,20 +469,16 @@ class _CoverSearch:
         node_budget = self.node_budget
         deadline = self.deadline
         group = self.group
-        check_every = CHECK_EVERY
         nodes = 0
-        next_check = check_every
         stack: list[list] = []
         chosen: list[int] = []
         weight = 1
         try:
             while True:
-                if nodes >= next_check:
-                    next_check += check_every
-                    if deadline is not None and time.monotonic() > deadline:
-                        return STATUS_BUDGET
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
+                    return STATUS_BUDGET
+                if deadline is not None and time.monotonic() > deadline:
                     return STATUS_BUDGET
                 if not state.uncovered:
                     self.count += weight
@@ -568,15 +559,14 @@ def search_constrained(
     to the CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment
     caps, and must be non-negative.
 
-    Three module names are read at each call, and tests patch them to force
-    a cover state, a clock stride or the plain tree: COUNTED_MIN_VERTICES
-    picks the state, the clock is read for the deadline every CHECK_EVERY
-    nodes, and every search prunes by the group _symmetry_group builds.  The
-    search runs in the calling process, with one node count and one
-    deadline.  An enumeration with collect_witnesses lists every code: the
-    codes the pruned tree reaches and their images under that group, as
-    many as the weighted count (or this raises), in ascending order of their
-    id tuples.
+    Two module names are read at each call, and tests patch them to force a
+    cover state or the plain tree: COUNTED_MIN_VERTICES picks the state, and
+    every search prunes by the group _symmetry_group builds.  The search runs
+    in the calling process, with one node count and one deadline, both
+    tested at every node.  An enumeration with collect_witnesses lists every
+    code: the codes the pruned tree reaches and their images under that
+    group, as many as the weighted count (or this raises), in ascending
+    order of their id tuples.
     """
     if node_budget is None:
         node_budget = default_node_budget()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cubecodes import CLAIM_IDS, LUCAS, claims, run_all, run_claim
+from cubecodes import CLAIM_IDS, FIBONACCI, LUCAS, claims, run_all, run_claim
 from cubecodes.claims import (
     check_cover_count_arithmetic,
     check_fibonacci_nonexistence,
@@ -89,6 +89,23 @@ def test_hypercube_avoidance_below_n3_fails(n):
     assert report.evidence == {"n": n, "stage": "precondition n >= 3"}
 
 
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (check_low_weight_structure, "n_set"),
+        (check_hypercube_avoidance, "n_set"),
+        (check_full_run_construction, "p_set"),
+        (check_punctured_constructions, "p_set"),
+    ],
+    ids=["lemma-0n", "prop-qn-avoid", "prop-1n", "prop-1n12"],
+)
+def test_empty_parameter_set_fails(check, name):
+    # with nothing in the set, nothing would be checked
+    report = check(**{name: ()})
+    assert report.verdict == "fail"
+    assert report.evidence == {name: [], "stage": f"precondition {name} is not empty"}
+
+
 def test_budget_interruption_never_passes():
     report = check_lucas_nonexistence(n_max=14, node_budget=20)
     assert report.verdict == "skipped"
@@ -115,18 +132,30 @@ def test_hypercube_avoidance_enumeration_budget_skips():
     assert check_hypercube_avoidance(n_set=(3,), node_budget=5).verdict == "pass"
 
 
-def test_failed_requirement_reports_where_it_failed(monkeypatch):
-    # one word too many in level 2 of the Lucas cube at n = 5
+@pytest.mark.parametrize(
+    "family, leading_one, n, k, evidence",
+    [
+        (LUCAS, False, 5, 2, "lucas"),
+        (FIBONACCI, False, 4, 1, "fib"),
+        (LUCAS, True, 5, 2, "lucas^1"),
+        (LUCAS, True, 0, 0, "lucas^1"),
+    ],
+    ids=["lucas", "fib", "lucas-leading-one", "lucas-leading-one-n0"],
+)
+def test_failed_requirement_reports_where_it_failed(monkeypatch, family, leading_one, n, k, evidence):
+    # one word too many in one weight level; at n = 0 there is no first
+    # coordinate, so no word has a leading one
     count = claims.count_weight_level
+    wrong = (family, n, k, leading_one)
 
-    def off_by_one(family, n, k, **kwargs):
-        level = count(family, n, k, **kwargs)
-        return level + 1 if (family, n, k) == (LUCAS, 5, 2) else level
+    def off_by_one(*args, leading_one=False):
+        level = count(*args, leading_one=leading_one)
+        return level + 1 if (*args, leading_one) == wrong else level
 
     monkeypatch.setattr(claims, "count_weight_level", off_by_one)
     report = check_weight_counts(n_max=6)
     assert report.verdict == "fail"
-    assert report.evidence == {"family": "lucas", "n": 5, "k": 2}
+    assert report.evidence == {"family": evidence, "n": n, "k": k}
 
 
 def test_low_weight_structure_pass():

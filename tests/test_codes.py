@@ -32,21 +32,19 @@ from cubecodes import (
     search_constrained,
 )
 from cubecodes import codes
-from cubecodes.codes import CHECK_EVERY, COUNTED_MIN_VERTICES
+from cubecodes.codes import COUNTED_MIN_VERTICES
 from cubecodes.graphs import InducedGraph
 
 W = BitWord.from_string
 
 
-def forced_search(graph, codewords, mode, counted, *, check_every=CHECK_EVERY, **kwargs):
-    """search_constrained in the counted or the bitmap state, with the given clock stride.
+def forced_search(graph, codewords, mode, counted, **kwargs):
+    """search_constrained in the counted or the bitmap state.
 
-    Patches two of the module names the search reads when called:
-    codes.COUNTED_MIN_VERTICES and codes.CHECK_EVERY.
+    Patches codes.COUNTED_MIN_VERTICES, which the search reads when called.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(codes, "COUNTED_MIN_VERTICES", 0 if counted else len(graph) + 1)
-        patch.setattr(codes, "CHECK_EVERY", check_every)
         return search_constrained(graph, codewords, mode, **kwargs)
 
 
@@ -249,9 +247,19 @@ def test_budget_exceeded_is_reported():
     out = find_perfect_code(g, "prove_none", node_budget=10)
     assert out.status == "budget-exceeded"
     assert out.nodes == 11
-    # a zero time budget trips at the first deadline check
-    out = find_perfect_code(build_graph(LUCAS, 14), "prove_none", time_budget=0.0)
+
+
+@pytest.mark.parametrize("counted", [True, False], ids=["counted", "bitmap"])
+def test_zero_time_budget_stops_at_once(counted):
+    # Lucas n=5 prove-none takes 5 nodes counted and 7 on bitmaps; the
+    # deadline is tested at the first of them, as the node budget is.
+    g = build_graph(LUCAS, 5)
+    assert forced_search(g, None, "prove_none", counted).nodes == (5 if counted else 7)
+    out = forced_search(g, None, "prove_none", counted, time_budget=0.0)
     assert out.status == "budget-exceeded"
+    assert out.nodes <= 1
+    out = forced_search(g, None, "prove_none", counted, node_budget=0)
+    assert (out.status, out.nodes) == ("budget-exceeded", 1)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +280,7 @@ def test_malformed_env_budget_names_the_variable(monkeypatch, name, value):
 
 def test_time_budget_stops_near_its_deadline():
     # Lucas n=17 prove-none (88k nodes) takes seconds; the search stops
-    # within a few clock reads of 0.25 s.
+    # within one node of 0.25 s.
     g = build_graph(LUCAS, 17)
     start = time.monotonic()
     out = forced_search(g, None, "prove_none", True, time_budget=0.25)
@@ -850,13 +858,13 @@ def test_pruning_agrees_with_the_oracle_and_the_plain_tree(case):
     ids=["qn", "lucas1s:7"],
 )
 def test_weighted_enumerate_counts_every_code(family, counted, count, nodes):
-    # The weighted count of the pruned tree is the oracle's.  A clock read at
-    # every node, with a deadline far off, leaves the run as it is.
+    # The weighted count of the pruned tree is the oracle's.  A deadline far
+    # off, tested at every node, leaves the run as it is.
     g = build_graph(family, 7)
     out = forced_search(g, None, "enumerate", counted)
     assert (out.status, out.count, out.nodes) == ("enumerated", count, nodes)
     assert count == count_perfect_codes_dfs(g)
-    timed = forced_search(g, None, "enumerate", counted, check_every=1, time_budget=3600.0)
+    timed = forced_search(g, None, "enumerate", counted, time_budget=3600.0)
     assert _fingerprint(timed) == _fingerprint(out)
 
 
