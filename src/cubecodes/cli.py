@@ -114,13 +114,13 @@ def _cmd_verify(args) -> int:
     given = {flag: param for flag, param in ranges.items() if param[1] is not None}
     params.update(given.values())
     claim_ids = CLAIM_IDS if args.claim == "all" else (args.claim,)
+    claim_params = {claim_id: applicable_params(claim_id, params) for claim_id in claim_ids}
     refused = [
-        flag for flag, (name, _) in given.items()
-        if any(name not in applicable_params(claim_id, params) for claim_id in claim_ids)
+        flag for flag, (name, _) in given.items() if any(name not in p for p in claim_params.values())
     ]
     if refused:
         args.usage_error(f"{', '.join(refused)} cannot be used with --claim {args.claim}")
-    reports = [run_claim(claim_id, **applicable_params(claim_id, params)) for claim_id in claim_ids]
+    reports = [run_claim(claim_id, **p) for claim_id, p in claim_params.items()]
     if args.format == "json":
         _emit(json.dumps([r.to_json_dict() for r in reports]) + "\n", args.output)
     else:

@@ -58,10 +58,16 @@ only fall.  By induction over the skipped siblings every code is the
 G-image of a code the pruned tree reaches, so an enumeration that lists
 its codes expands those over G.
 
-search_constrained is the one function that builds and runs a search, in
-the calling process.  It reads COUNTED_MIN_VERTICES and _symmetry_group
-when called, so tests force a cover state or the plain tree by patching
-these module names, not through parameters.
+The search core, _cover, is one function over id bitmaps: it runs a root
+cover state over _Blocks, a list of block masks, with the group given as
+id permutations, and reads no graph.  search_constrained is its graph
+adapter, and the one function that builds and runs a search, in the
+calling process: it checks the engine cap, builds the blocks from
+graph.closed_mask and the group with _symmetry_group, the one step that
+reads words, and turns the core's result into a SearchOutcome.  It reads
+COUNTED_MIN_VERTICES and _symmetry_group when called, so tests force a
+cover state or the plain tree by patching these module names, not through
+parameters; they run _cover with group=[] on blocks that no graph gives.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
@@ -189,14 +195,17 @@ COUNTED_MIN_VERTICES = 129
 
 
 class _Blocks:
-    """The closed-neighborhood blocks N[v] of one graph, as bitmaps over ids.
+    """The blocks of an exact cover over ids 0..len(masks) - 1, as bitmaps over the ids.
 
-    A graph over the engine cap is refused here, before any search state.
+    masks[v] is the block of id v.  The relation must be symmetric and
+    reflexive: u is in masks[v] iff v is in masks[u], and v is in masks[v].
+    So the blocks that cover u are the ids of masks[u], and the blocks that
+    overlap masks[v] are the ids in the masks of its members.  The closed
+    neighborhoods N[v] of a graph are such blocks.
     """
 
-    def __init__(self, graph: InducedGraph):
-        check_cap("engine_cap", len(graph), f"a search on {len(graph)} vertices")
-        self.masks = [graph.closed_mask(i) for i in range(len(graph))]
+    def __init__(self, masks: list[int]):
+        self.masks = masks
         self._ball2: dict[int, int] = {}
 
     def conflicts(self, v: int) -> int:
@@ -436,94 +445,84 @@ def _images(group: list[list[int]], code: tuple[int, ...]) -> set[tuple[int, ...
     return {tuple(sorted(code)), *(tuple(sorted([g[x] for x in code])) for g in group)}
 
 
-class _CoverSearch:
-    """One backtracking run on an explicit stack of branch points."""
+def _ordered(cands: int, order: list[int] | None) -> list[int]:
+    """The ids of the bitmap cands, ascending or, given an order, by their rank in it."""
+    out = []
+    while cands:
+        low = cands & -cands
+        out.append(low.bit_length() - 1)
+        cands ^= low
+    if order is not None:
+        out.sort(key=order.__getitem__)
+    return out
 
-    def __init__(self, order, node_budget, deadline, stop_at_first, collect, group):
-        self.order = order
-        self.node_budget = node_budget
-        self.deadline = deadline
-        self.stop_at_first = stop_at_first
-        self.group = group
-        self.nodes = 0
-        self.count = 0
-        self.solutions: list[tuple[int, ...]] | None = [] if collect else None
-        self.witness: tuple[int, ...] | None = None
 
-    def run(self, state) -> str | None:
-        """Search below the root state; STATUS_FOUND, STATUS_BUDGET, or None once complete.
+def _cover(state, group, order, node_budget, deadline, collect, stop_at_first):
+    """Search below the root state on an explicit stack of branch points.
 
-        chosen holds the blocks taken above the current node, and weight is
-        its weight, 1 at the root.  Each node covers the vertex that
-        state.select() picks: no usable block is a dead end, one is a forced
-        move applied to the node's own state, and more push a branch point
-        whose children each get a copy of it (the last child takes the
-        original).  Each node first tests the node budget and the deadline.
+    Returns (status, nodes, weighted count, codes): status is STATUS_FOUND,
+    STATUS_BUDGET, or None once the search is complete, and codes holds the
+    id tuple of every code found when collect is set, or of the first one
+    when stop_at_first is.  group is a list of id permutations that map the
+    blocks and the allowed ones onto themselves, [] for the plain tree; order
+    ranks the ids for the candidate order, None for ascending ids.
 
-        A frame is [state, candidates, next index, len(chosen), weights].
-        When it is pushed, chosen holds exactly the blocks above it, and its
-        candidates are cut to the first of each orbit of their stabilizer;
-        weights holds each kept candidate's weight.  A code found adds its
-        node's weight to count.
-        """
-        node_budget = self.node_budget
-        deadline = self.deadline
-        group = self.group
-        nodes = 0
-        stack: list[list] = []
-        chosen: list[int] = []
-        weight = 1
-        try:
-            while True:
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    return STATUS_BUDGET
-                if deadline is not None and time.monotonic() > deadline:
-                    return STATUS_BUDGET
-                if not state.uncovered:
-                    self.count += weight
-                    if self.solutions is not None:
-                        self.solutions.append(tuple(chosen))
-                    if self.stop_at_first:
-                        self.witness = tuple(chosen)
-                        return STATUS_FOUND
-                else:
-                    cands = state.select()
-                    if cands & (cands - 1):
-                        tries, weights = _firsts(_stabilizer(group, chosen), self._ordered(cands), weight)
-                        stack.append([state, tries, 0, len(chosen), weights])
-                    elif cands:
-                        v = cands.bit_length() - 1
-                        state.take(v)
-                        chosen.append(v)
-                        continue
-                if not stack:
-                    return None
-                frame = stack[-1]
-                base, tries, i, depth, weights = frame
-                if i + 1 < len(tries):
-                    frame[2] = i + 1
-                    state = base.copy()
-                else:
-                    stack.pop()
-                    state = base
-                weight = weights[i]
-                del chosen[depth:]
-                v = tries[i]
+    chosen holds the blocks taken above the current node, and weight is its
+    weight, 1 at the root.  Each node covers the vertex that state.select()
+    picks: no usable block is a dead end, one is a forced move applied to
+    the node's own state, and more push a branch point whose children each
+    get a copy of it (the last child takes the original).  Each node first
+    tests the node budget and the deadline.
+
+    A frame is [state, candidates, next index, len(chosen), weights].  When
+    it is pushed, chosen holds exactly the blocks above it, and its
+    candidates are cut to the first of each orbit of their stabilizer;
+    weights holds each kept candidate's weight.  A code found adds its
+    node's weight to count.
+    """
+    nodes = 0
+    count = 0
+    codes: list[tuple[int, ...]] = []
+    stack: list[list] = []
+    chosen: list[int] = []
+    weight = 1
+    while True:
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return STATUS_BUDGET, nodes, count, codes
+        if deadline is not None and time.monotonic() > deadline:
+            return STATUS_BUDGET, nodes, count, codes
+        if not state.uncovered:
+            count += weight
+            if collect or stop_at_first:
+                codes.append(tuple(chosen))
+            if stop_at_first:
+                return STATUS_FOUND, nodes, count, codes
+        else:
+            cands = state.select()
+            if cands & (cands - 1):
+                tries, weights = _firsts(_stabilizer(group, chosen), _ordered(cands, order), weight)
+                stack.append([state, tries, 0, len(chosen), weights])
+            elif cands:
+                v = cands.bit_length() - 1
                 state.take(v)
                 chosen.append(v)
-        finally:
-            self.nodes = nodes
-
-    def _ordered(self, cands: int) -> list[int]:
-        out = []
-        while cands:
-            low = cands & -cands
-            out.append(low.bit_length() - 1)
-            cands ^= low
-        if self.order is not None:
-            out.sort(key=self.order.__getitem__)
-        return out
+                continue
+        if not stack:
+            return None, nodes, count, codes
+        frame = stack[-1]
+        base, tries, i, depth, weights = frame
+        if i + 1 < len(tries):
+            frame[2] = i + 1
+            state = base.copy()
+        else:
+            stack.pop()
+            state = base
+        weight = weights[i]
+        del chosen[depth:]
+        v = tries[i]
+        state.take(v)
+        chosen.append(v)
 
 
 def _normalize_mode(mode: str) -> str:
@@ -577,9 +576,9 @@ def search_constrained(
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget} s")
-    blocks = _Blocks(graph)
     n_vertices = len(graph)
-
+    check_cap("engine_cap", n_vertices, f"a search on {n_vertices} vertices")
+    blocks = _Blocks([graph.closed_mask(i) for i in range(n_vertices)])
     allowed = (1 << n_vertices) - 1 if codewords is None else _as_code(graph, codewords).mask
 
     started = time.monotonic()
@@ -589,29 +588,25 @@ def search_constrained(
         root = _CountedCover.root(blocks, allowed)
     else:
         root = _BitmapCover(blocks, (1 << n_vertices) - 1, allowed)
-    search = _CoverSearch(
-        _candidate_order(n_vertices, seed),
-        node_budget,
-        deadline,
+    collect = collect_witnesses and mode == MODE_ENUMERATE
+    status, nodes, count, found = _cover(
+        root, group, _candidate_order(n_vertices, seed), node_budget, deadline, collect,
         mode in (MODE_FIRST, MODE_PROVE_NONE),
-        collect_witnesses and mode == MODE_ENUMERATE,
-        group,
     )
-    status = search.run(root)
     if status is None:
         status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
     witnesses = None
-    if status == STATUS_ENUMERATED and search.solutions is not None:
-        listed = {code for sol in search.solutions for code in _images(group, sol)}
-        if len(listed) != search.count:
-            raise RuntimeError(f"listed {len(listed)} codes, but the weighted count is {search.count}")
+    if status == STATUS_ENUMERATED and collect:
+        listed = {code for sol in found for code in _images(group, sol)}
+        if len(listed) != count:
+            raise RuntimeError(f"listed {len(listed)} codes, but the weighted count is {count}")
         witnesses = [VertexSet.from_ids(graph, code) for code in sorted(listed)]
     return SearchOutcome(
         status=status,
-        witness=VertexSet.from_ids(graph, search.witness) if search.witness is not None else None,
-        count=search.count if status == STATUS_ENUMERATED else None,
+        witness=VertexSet.from_ids(graph, found[0]) if status == STATUS_FOUND else None,
+        count=count if status == STATUS_ENUMERATED else None,
         witnesses=witnesses,
-        nodes=search.nodes,
+        nodes=nodes,
         millis=int((time.monotonic() - started) * 1000),
         seed=seed,
     )

@@ -26,18 +26,15 @@ from typing import Callable, Iterable, Iterator
 
 from .limits import check_cap, graph_cap
 from .words import (
-    _DIGIT_FLAGS,
     BitWord,
     Family,
+    bitmap_of_flags,
     check_length,
     coordinate_masks,
+    flags_of_bitmap,
     iter_family_bits,
     membership_test,
 )
-
-
-# Maps the flag bytes 0/1 to the characters of a binary numeral.
-_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def hamming_distance(x: BitWord, y: BitWord) -> int:
@@ -57,12 +54,10 @@ def word_bitmap(n: int, words: Iterable[int]) -> int:
     Held to the enumeration cap, as the scan of build_graph is.
     """
     _check_bitmap_cap(n)
-    # A byte per word, read as a binary numeral: setting one bit of an
-    # int costs O(2^n / 64), and or-ing bits into packed bytes is slower.
     flags = bytearray(1 << n)
     for bits in words:
         flags[bits] = 1
-    return int(flags.translate(_FLAG_DIGITS)[::-1], 2)
+    return bitmap_of_flags(flags)
 
 
 def _flipped(words: int, b: int, clear: int) -> int:
@@ -311,20 +306,15 @@ class VertexSet:
     @classmethod
     def from_family(cls, graph: InducedGraph, family: Family) -> "VertexSet":
         """The vertices of the graph that are members of the family at the graph's length."""
-        flags = bytes(map(membership_test(family, graph.n), graph.vertices))
-        return cls(graph, int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2))
-
-    def _flags(self) -> bytes:
-        """Byte i is 1 when id i is a member: the binary numeral of the mask, low bit first."""
-        return bin(self.mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+        return cls(graph, bitmap_of_flags(bytes(map(membership_test(family, graph.n), graph.vertices))))
 
     def ids(self) -> list[int]:
         """Member ids, ascending."""
-        return list(compress(count(), self._flags()))
+        return list(compress(count(), flags_of_bitmap(self.mask)))
 
     def word_bits(self) -> list[int]:
         """Member words, packed, ascending."""
-        return list(compress(self.graph.vertices, self._flags()))
+        return list(compress(self.graph.vertices, flags_of_bitmap(self.mask)))
 
     def words(self) -> list[BitWord]:
         return [BitWord(self.graph.n, bits) for bits in self.word_bits()]

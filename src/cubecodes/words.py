@@ -232,8 +232,20 @@ def coordinate_masks(n: int) -> list[int]:
     return low
 
 
-# Maps the '0'/'1' characters of a binary numeral to the flag bytes 0/1.
+# The '0'/'1' characters of a binary numeral and the flag bytes 0/1, each way.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def flags_of_bitmap(bitmap: int) -> bytes:
+    """Byte i is 1 when bit i is set: the binary numeral, low bit first, up to the top set bit."""
+    return bin(bitmap)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
+def bitmap_of_flags(flags: bytes | bytearray) -> int:
+    """Bit i is set when byte i is 1, 0 for no bytes; read as a binary numeral, which is
+    faster than setting the bits of an int one by one or packing them into bytes."""
+    return int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2)
 
 
 def iter_family_bits(family: Family, n: int) -> Iterator[int]:
@@ -260,8 +272,7 @@ def iter_family_bits(family: Family, n: int) -> Iterator[int]:
             if window >> b & 1:
                 some_clear |= low[b]
         members &= some_clear
-    flags = format(members, f"0{size}b").encode()[::-1].translate(_DIGIT_FLAGS)
-    return compress(range(size), flags)
+    return compress(range(size), flags_of_bitmap(members))
 
 
 def enumerate_family(family: Family, n: int) -> list[BitWord]:

@@ -1,6 +1,7 @@
 """Command-line behavior: output, exit codes, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -421,6 +422,17 @@ def test_verify_all_runs_every_claim_with_the_budgets(capsys, monkeypatch):
     searching = {"thm-main", "prop-qn-avoid", "fib-nonexistence"}
     for claim_id, params in calls.items():
         assert params == ({"node_budget": 7, "time_budget": 2.0} if claim_id in searching else {}), claim_id
+
+
+def test_verify_all_json_is_pinned(capsys, monkeypatch):
+    # The output holds no times, so it is the same bytes on every run and
+    # every Python version; a change to any claim's verdict, parameters or
+    # evidence, node counts included, shows here.
+    for name in [name for name in os.environ if name.startswith("CUBECODES_")]:
+        monkeypatch.delenv(name)
+    code, out, _ = run_cli(capsys, "verify", "--claim", "all", "--format", "json")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / "verify_claim_all.json").read_bytes()
 
 
 def test_help_lists_every_claim_id():

@@ -578,6 +578,11 @@ def check_planes(state):
         assert state.select() == masks[least] & state.available
 
 
+def graph_blocks(graph):
+    """The closed neighborhoods of the graph as the search's blocks, as search_constrained builds them."""
+    return codes._Blocks([graph.closed_mask(i) for i in range(len(graph))])
+
+
 def walk_counted_cover(graph, allowed, rnd, walks=4):
     """Random moves from the root of the counted state, checked after every one.
 
@@ -585,7 +590,7 @@ def walk_counted_cover(graph, allowed, rnd, walks=4):
     goes on from the last copy left, which the moves since must not have
     touched.
     """
-    root = codes._CountedCover.root(codes._Blocks(graph), allowed)
+    root = codes._CountedCover.root(graph_blocks(graph), allowed)
     copies = [(root, list(root.planes))]
     for _ in range(walks):
         if not copies:
@@ -621,7 +626,7 @@ def test_counted_state_holds_a_count_of_63():
     # 0^62 and its 62 neighbours: N[0^62] is the whole graph, so the root
     # counts 63 blocks there, which takes a sixth plane.
     star = InducedGraph(62, [0] + [1 << b for b in range(62)])
-    root = codes._CountedCover.root(codes._Blocks(star), (1 << 63) - 1)
+    root = codes._CountedCover.root(graph_blocks(star), (1 << 63) - 1)
     assert len(root.planes) == 6
     walk_counted_cover(star, (1 << 63) - 1, random.Random(3))
     assert count_perfect_codes_dfs(star) == 1
@@ -629,6 +634,59 @@ def test_counted_state_holds_a_count_of_63():
     assert (enumerated.status, enumerated.count) == ("enumerated", 1)
     assert [w.words() for w in enumerated.witnesses] == [[BitWord(62, 0)]]
     assert forced_search(star, None, "first", True).witness.words() == [BitWord(62, 0)]
+
+
+@st.composite
+def reflexive_relations(draw, max_ids=12):
+    """Block masks over up to max_ids ids from a random symmetric, reflexive relation."""
+    k = draw(st.integers(0, max_ids))
+    masks = [1 << i for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if draw(st.booleans()):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
+def exact_covers(masks, allowed):
+    """Every set of allowed ids whose blocks partition all ids, as ascending id tuples, by a subset scan."""
+    full = (1 << len(masks)) - 1
+    found = []
+    for subset in range(1 << len(masks)):
+        if subset & ~allowed:
+            continue
+        ids = [i for i in range(len(masks)) if subset >> i & 1]
+        if sum(masks[i].bit_count() for i in ids) == len(masks) and sum(masks[i] for i in ids) == full:
+            found.append(tuple(ids))
+    return sorted(found)
+
+
+@settings(max_examples=150)
+@given(masks=reflexive_relations(), data=st.data())
+def test_cover_core_matches_a_subset_scan_on_random_relations(masks, data):
+    # The core takes block masks, not a graph: these relations need not be
+    # the closed neighborhoods of any cube graph.
+    full = (1 << len(masks)) - 1
+    allowed = data.draw(st.sampled_from([full]) | st.integers(0, full))
+    order = data.draw(st.none() | st.permutations(range(len(masks))).map(list))
+    expected = exact_covers(masks, allowed)
+    for counted in (False, True):
+        def root():
+            blocks = codes._Blocks(masks)
+            if counted:
+                return codes._CountedCover.root(blocks, allowed)
+            return codes._BitmapCover(blocks, full, allowed)
+
+        status, nodes, count, listed = codes._cover(root(), [], order, None, None, True, False)
+        assert (status, count) == (None, len(expected)), counted
+        assert sorted(tuple(sorted(code)) for code in listed) == expected, counted
+        assert codes._cover(root(), [], order, None, None, False, False)[1:] == (nodes, count, [])
+        status, _, _, first = codes._cover(root(), [], order, None, None, False, True)
+        if expected:
+            assert status == codes.STATUS_FOUND and tuple(sorted(first[0])) in expected
+        else:
+            assert (status, first) == (None, [])
 
 
 def test_frontier_node_counts_are_pinned(monkeypatch):
@@ -762,7 +820,7 @@ def audit_pruning(patch):
     The group must be exactly the elements of G that map all chosen blocks
     onto themselves: each of them makes a skipped candidate safe, and the
     group may depend on nothing else.
-    The test reads the chosen blocks and G from the caller, _CoverSearch.run,
+    The test reads the chosen blocks and G from the caller, codes._cover,
     where chosen holds exactly the blocks above the frame being pushed, and
     works the stabilizer out from the image set of each element.  The kept
     candidates must be the first of each orbit, and each one's weight the
@@ -774,7 +832,7 @@ def audit_pruning(patch):
         caller = sys._getframe(1).f_locals
         chosen = caller["chosen"]
         taken = set(chosen)
-        assert group == [g for g in caller["self"].group if {g[x] for x in chosen} == taken]
+        assert group == [g for g in caller["group"] if {g[x] for x in chosen} == taken]
         kept, weights = firsts(group, tries, weight)
 
         def orbit(x):
