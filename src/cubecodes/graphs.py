@@ -4,35 +4,38 @@ Vertices are family members at a fixed length, stored ascending; the dense
 vertex id of a word is its rank in that order, which is stable across runs.
 Vertex sets are bitmaps over dense ids, packed into a single integer.
 Neighbors are probed on demand: the n one-bit flips of a word are looked up
-in the word index, and nothing is stored per vertex.  Questions about the
-whole graph are answered without probing, on 2^n-bit bitmaps over the word
-space: bit w is set when the packed word w is in the set.  Flipping
-coordinate b of every word in such a bitmap is one shift pair under a
-coordinate mask, O(2^n / 64) word operations.  Connectivity floods the
+in the word index, which is built at the first probe, and nothing is stored
+per vertex.  Questions about the whole graph are answered without probing,
+on 2^n-bit bitmaps over the word space: bit w is set when the packed word w
+is in the set.  Flipping coordinate b of every word in such a bitmap is one
+shift pair under a coordinate mask, O(2^n / 64) word operations.  Connectivity floods the
 vertex bitmap with these flips, in O(sweeps · n · 2^n / 64) word
 operations, where the sweep count is at most the diameter + 1; cover_bitmaps
 sums the closed neighborhoods of a set of words in O(n · 2^n / 64), which
-decides the perfect-code predicates of codes.py.  The vertex bitmap is built
-once per graph, and every bitmap is held to the enumeration cap.
+decides the perfect-code predicates of codes.py.  A family's graph is listed
+from the family's word bitmap, which it keeps as its vertex bitmap; a graph
+built from a list of words builds that bitmap once, at its first use.  Every
+bitmap is held to the enumeration cap.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count, islice
 from operator import lt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterator
 
-from .limits import check_cap, graph_cap
+from .limits import check_cap
 from .words import (
     BitWord,
     Family,
     bitmap_of_flags,
     check_length,
     coordinate_masks,
+    family_bitmap,
     flags_of_bitmap,
-    iter_family_bits,
     membership_test,
 )
 
@@ -48,12 +51,17 @@ def _check_bitmap_cap(n: int) -> None:
     check_cap("enum_cap", 1 << n, f"the word bitmap at n={n} of 2^{n} bits")
 
 
-def word_bitmap(n: int, words: Iterable[int]) -> int:
+def word_bitmap(n: int, words: Collection[int]) -> int:
     """The 2^n-bit bitmap over the word space of packed n-bit words.
 
-    Held to the enumeration cap, as the scan of build_graph is.
+    Held to the enumeration cap, as the family bitmap of build_graph is; a
+    word outside 0..2^n - 1 is refused with a ValueError that names it.
     """
     _check_bitmap_cap(n)
+    if words:
+        low, high = min(words), max(words)
+        if low < 0 or high >> n:
+            raise ValueError(f"word {low if low < 0 else high} does not fit in {n} bits")
     flags = bytearray(1 << n)
     for bits in words:
         flags[bits] = 1
@@ -70,28 +78,78 @@ def _flipped(words: int, b: int, clear: int) -> int:
     return ((words & clear) << step) | ((words >> step) & clear)
 
 
+# Byte i of id_mask's flag sum, 2 or 3, as the binary digit of the vertex's id bit.
+_ID_DIGITS = bytes.maketrans(b"\2\3", b"01")
+
+
 class InducedGraph:
     """The subgraph of Q_n induced by a fixed set of words.
 
     Immutable after construction; adjacency is exactly the single-bit-flip
-    relation restricted to the vertex set.
+    relation restricted to the vertex set.  The constructor takes a strictly
+    ascending list of words, which it checks and copies; build_graph lists
+    a family's members from its word bitmap instead, through from_bitmap.
+    The word index, from vertex word to id, is built at the first probe
+    (neighbor_ids, id_of, membership of a word in a VertexSet, the search's
+    symmetry group, export) and kept.
     """
 
     def __init__(self, n: int, vertices: list[int], family: Family | None = None):
         check_length(n)
+        vertices = list(vertices)
         if not all(map(lt, vertices, islice(vertices, 1, None))):
             raise ValueError("vertices must be strictly ascending")
         # Ascending, so the two ends bound every word.
         if vertices and not (vertices[0] >= 0 and vertices[-1] < 1 << n):
             raise ValueError(f"vertex words must fit in {n} bits")
+        self._init(n, vertices, None, family)
+
+    @classmethod
+    def from_bitmap(cls, n: int, words: int, family: Family | None = None) -> "InducedGraph":
+        """The graph on the words of a word bitmap, which it keeps as its vertex bitmap.
+
+        The vertices are read off the bitmap, ascending by construction.  The
+        bitmap is held to the enumeration cap and must lie in the 2^n words.
+        """
+        check_length(n)
+        _check_bitmap_cap(n)
+        if words < 0 or words >> (1 << n):
+            raise ValueError(f"word bitmap has bits past the 2^{n} words")
+        graph = cls.__new__(cls)
+        graph._init(n, list(compress(range(1 << n), flags_of_bitmap(words))), words, family)
+        return graph
+
+    def _init(self, n: int, vertices: list[int], vertex_bitmap: int | None, family: Family | None):
         self.n = n
         self.family = family
         self.vertices = vertices
-        self.index = {bits: i for i, bits in enumerate(vertices)}
-        self._vertex_bitmap = None
+        self._vertex_bitmap = vertex_bitmap
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """The id of each vertex word, built at the first probe and kept."""
+        return dict(zip(self.vertices, count()))
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    def id_mask(self, words: int) -> int:
+        """The id bitmap of the vertices among the words of a word bitmap.
+
+        Words that are not vertices are dropped.  Vertex i is the i-th set
+        bit of the vertex bitmap, so the word bitmap's flags are compressed
+        by the vertex bitmap's, with no index probe: twice the vertex flags
+        plus the flags of the words that are vertices is 2 or 3 at a vertex
+        and 0 elsewhere, with no carry between bytes, and translate deletes
+        the 0s and reads 2 and 3 as the digits 0 and 1.
+        """
+        vertex_words = self.vertex_bitmap()
+        vertex_flags = flags_of_bitmap(vertex_words)
+        both = int.from_bytes(vertex_flags, "little") * 2 + int.from_bytes(
+            flags_of_bitmap(words & vertex_words), "little"
+        )
+        digits = both.to_bytes(len(vertex_flags), "little").translate(_ID_DIGITS, b"\0")
+        return int(digits[::-1] or b"0", 2)
 
     def word(self, i: int) -> BitWord:
         return BitWord(self.n, self.vertices[i])
@@ -159,7 +217,7 @@ class InducedGraph:
         return None
 
     def vertex_bitmap(self) -> int:
-        """The vertex words as a word bitmap, built on the first call and kept.
+        """The vertex words as a word bitmap, kept from from_bitmap or built on the first call.
 
         Every call is held to the enumeration cap, so a graph over it raises
         the ResourceLimitError that names enum_cap.
@@ -332,13 +390,14 @@ class VertexSet:
 def build_graph(family: Family, n: int) -> InducedGraph:
     """Materialize the subgraph of Q_n induced by the family's members.
 
-    The enumeration cap is checked before the scan starts; the scan stops
-    one word past the graph cap, and a family that reaches it is refused.
+    The members are the family's word bitmap, held to the enumeration cap
+    before it is built.  A family with more members, by the bitmap's
+    popcount, than the graph cap is refused before any vertex is listed.
     Either rejection names the cap that was hit.
     """
-    vertices = list(islice(iter_family_bits(family, n), max(graph_cap(), 0) + 1))
-    check_cap("graph_cap", len(vertices), f"the {family} graph at n={n}")
-    return InducedGraph(n, vertices, family)
+    members = family_bitmap(family, n)
+    check_cap("graph_cap", members.bit_count(), f"the {family} graph at n={n}")
+    return InducedGraph.from_bitmap(n, members, family)
 
 
 def closed_neighborhood(graph: InducedGraph, v: BitWord) -> VertexSet:

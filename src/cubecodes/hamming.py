@@ -14,7 +14,7 @@ from functools import cache
 
 from .limits import ResourceLimitError
 from .words import BitWord, gen_lucas
-from .graphs import InducedGraph, VertexSet, build_graph
+from .graphs import InducedGraph, VertexSet, build_graph, word_bitmap
 
 # Codeword materialization is only offered up to this p; for p = 5 the
 # code object still decodes and tests membership.
@@ -156,8 +156,12 @@ def construct_gen_lucas_code(p: int, s_kind: str) -> VertexSet:
       "n"    the coset H + 0^{n-1}1 inside the graph missing only 1^n
       "n-1"  the Hamming code minus 1^n, in the graph missing N[1^n]
       "n-2"  the same punctured code, one graph further down
-    The result is bound to the freshly built graph and is checked for
-    membership along the way.
+    The result is bound to the freshly built graph.  Its codewords are
+    checked for membership as one word bitmap against the graph's vertex
+    bitmap, and their ids are read off the two bitmaps, with no index
+    probe.  Codewords are at least 3 apart, so flipping the last bit keeps
+    their order, and the lowest codeword outside the graph, which the
+    failure names, is also the first in list order.
     """
     if s_kind not in S_KINDS:
         raise ValueError(f"s_kind must be one of {S_KINDS}, got {s_kind!r}")
@@ -170,12 +174,11 @@ def construct_gen_lucas_code(p: int, s_kind: str) -> VertexSet:
         members = [bits ^ 1 for bits in code.codeword_bits()]
     else:
         members = [bits for bits in code.codeword_bits() if bits != all_ones]
-    mask = 0
-    for bits in members:
-        i = graph.index.get(bits)
-        if i is None:
-            raise AssertionError(
-                f"constructed codeword {BitWord(n, bits)} fell outside the graph"
-            )
-        mask |= 1 << i
-    return VertexSet(graph, mask)
+    words = word_bitmap(n, members)
+    outside = words & ~graph.vertex_bitmap()
+    if outside:
+        raise AssertionError(
+            f"constructed codeword {BitWord(n, (outside & -outside).bit_length() - 1)}"
+            " fell outside the graph"
+        )
+    return VertexSet(graph, graph.id_mask(words))

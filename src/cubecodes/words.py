@@ -248,31 +248,41 @@ def bitmap_of_flags(flags: bytes | bytearray) -> int:
     return int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2)
 
 
-def iter_family_bits(family: Family, n: int) -> Iterator[int]:
-    """An iterator over the packed members of the family at length n, ascending.
+def family_bitmap(family: Family, n: int) -> int:
+    """The members of the family at length n as one 2^n-bit integer over the word space.
 
-    The members are found as one 2^n-bit integer over the word space, in
-    which bit w stands for the word w.  A member has a clear bit in each
-    window of _windows, so the members are the AND over the windows of the
-    OR of the window's coordinate masks; a family with no window is every
-    word.  The masks take O(n · 2^n / 8) bytes, so the bitmap is held to
-    the enumeration cap, which is checked before it is built.
+    Bit w is set when the packed word w is a member.  A member has a clear
+    bit in each window of _windows, so the members are the AND over the
+    windows of the OR of the window's coordinate masks; a family with no
+    window is every word.  The masks take O(n · 2^n / 8) bytes, so the
+    bitmap is held to the enumeration cap, which is checked before it is
+    built.
     """
     check_length(n)
     size = 1 << n
     check_cap("enum_cap", size, f"enumeration at n={n} of 2^{n} words")
     windows = _windows(family, n)
-    if not windows:
-        return iter(range(size))
-    low = coordinate_masks(n)
     members = (1 << size) - 1
+    if not windows:
+        return members
+    low = coordinate_masks(n)
     for window in windows:
         some_clear = 0
         for b in range(n):
             if window >> b & 1:
                 some_clear |= low[b]
         members &= some_clear
-    return compress(range(size), flags_of_bitmap(members))
+    return members
+
+
+def iter_family_bits(family: Family, n: int) -> Iterator[int]:
+    """An iterator over the packed members of the family at length n, ascending.
+
+    The members are read off family_bitmap, which is built, and held to the
+    enumeration cap, when this is called.
+    """
+    members = family_bitmap(family, n)
+    return compress(range(1 << n), flags_of_bitmap(members))
 
 
 def enumerate_family(family: Family, n: int) -> list[BitWord]:

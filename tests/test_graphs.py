@@ -21,8 +21,9 @@ from cubecodes import (
     parse_family,
 )
 from cubecodes import graphs
-from cubecodes.graphs import InducedGraph
-from cubecodes.words import iter_family_bits
+from cubecodes.graphs import InducedGraph, word_bitmap
+from cubecodes.words import flags_of_bitmap, iter_family_bits
+import cubecodes.words as words_module
 
 W = BitWord.from_string
 
@@ -254,8 +255,18 @@ def test_vertex_set_from_family_is_the_listed_members(graph_family, family, n):
         (lambda: build_graph(LUCAS, 3).id_of(W("00")), "does not match graph length 3"),
         (lambda: InducedGraph(70, [1 << 65]), "length must be in 0..62"),
         (lambda: InducedGraph(-2, []), "length must be in 0..62"),
+        (lambda: InducedGraph.from_bitmap(3, 1 << 8), "bits past the 2\\^3 words"),
+        (lambda: InducedGraph.from_bitmap(3, -1), "bits past the 2\\^3 words"),
     ],
-    ids=["word-too-wide", "descending", "short-word", "length-too-long", "negative-length"],
+    ids=[
+        "word-too-wide",
+        "descending",
+        "short-word",
+        "length-too-long",
+        "negative-length",
+        "bitmap-too-wide",
+        "negative-bitmap",
+    ],
 )
 def test_malformed_graph_input_rejected(make, message):
     with pytest.raises(ValueError, match=message):
@@ -281,21 +292,70 @@ def test_graph_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("family", [LUCAS, FIBONACCI, gen_lucas(3)])
-def test_graph_cap_stops_the_scan_one_word_past_the_cap(monkeypatch, family):
-    # a family over the cap used to be listed in full before it was refused
-    taken = []
+def test_graph_cap_refuses_a_family_before_listing_a_vertex(monkeypatch, family):
+    # the members are counted on the family's word bitmap, so a family one
+    # member over the cap is refused before any vertex is listed
+    size = len(build_graph(family, 12))
+    listed = []
 
-    def counting(family, n):
-        for bits in iter_family_bits(family, n):
-            taken.append(bits)
-            yield bits
+    def recording(bitmap):
+        listed.append(bitmap)
+        return flags_of_bitmap(bitmap)
 
-    monkeypatch.setattr(graphs, "iter_family_bits", counting)
-    monkeypatch.setenv("CUBECODES_GRAPH_CAP", "100")
+    monkeypatch.setattr(graphs, "flags_of_bitmap", recording)
+    monkeypatch.setattr(words_module, "flags_of_bitmap", recording)
+    monkeypatch.setenv("CUBECODES_GRAPH_CAP", str(size - 1))
     with pytest.raises(ResourceLimitError) as err:
         build_graph(family, 12)
     assert err.value.cap_name == "graph_cap"
-    assert len(taken) == 101
+    assert listed == []
+    monkeypatch.setenv("CUBECODES_GRAPH_CAP", str(size))
+    assert len(build_graph(family, 12)) == size
+
+
+def _every_family(n):
+    yield from (HYPERCUBE, FIBONACCI, LUCAS)
+    for s in range(1, n + 2):
+        yield gen_fibonacci(s)
+        yield gen_lucas(s)
+
+
+def test_family_graph_is_the_graph_of_its_listed_members():
+    for n in range(11):
+        for family in _every_family(n):
+            g = build_graph(family, n)
+            listed = InducedGraph(n, list(iter_family_bits(family, n)))
+            assert g.vertices == listed.vertices, (str(family), n)
+            assert g.vertex_bitmap() == listed.vertex_bitmap(), (str(family), n)
+            assert g.index == listed.index, (str(family), n)
+            masks = [g.closed_mask(i) for i in range(len(g))]
+            assert masks == [listed.closed_mask(i) for i in range(len(g))], (str(family), n)
+
+
+def test_graph_copies_the_callers_vertex_list():
+    words = [0, 1, 3]
+    g = InducedGraph(3, words)
+    words.append(7)
+    words[0] = 2
+    assert len(g) == 3
+    assert g.vertices == [0, 1, 3]
+    assert g.index == {0: 0, 1: 1, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "words, word",
+    [([-1], -1), ([0, 8], 8), ([3, -2, 9], -2), ([7, 1 << 40], 1 << 40)],
+    ids=["minus-one", "two-to-the-n", "negative-among-others", "far-too-wide"],
+)
+def test_word_bitmap_refuses_words_outside_the_word_space(words, word):
+    with pytest.raises(ValueError, match=f"^word {word} does not fit in 3 bits$"):
+        word_bitmap(3, words)
+
+
+def test_word_bitmap_takes_both_ends_of_the_word_space():
+    assert word_bitmap(3, [0, 7]) == 1 | 1 << 7
+    assert word_bitmap(3, []) == 0
+    assert word_bitmap(0, [0]) == 1
 
 
 def test_large_graph_probes_neighbors_on_the_fly():
@@ -397,6 +457,20 @@ def test_neighbor_ids_are_every_flip_ascending(case):
         assert g.neighbor_ids(i) == flips
         pairs += len(flips)
     assert g.edge_count() * 2 == pairs
+
+
+@given(case=cube_subsets(), chosen=st.sets(st.integers(0, (1 << 7) - 1), max_size=40))
+@example(case=(0, [0]), chosen=set())
+@example(case=(3, []), chosen={0, 7})
+@example(case=(7, list(range(1 << 7))), chosen=set(range(1 << 7)))
+def test_id_mask_is_the_ids_of_the_vertices_among_the_words(case, chosen):
+    n, vertices = case
+    g = InducedGraph(n, vertices)
+    words = {w for w in chosen if w < 1 << n}
+    expected = 0
+    for w in words & set(vertices):
+        expected |= 1 << g.id_of(BitWord(n, w))
+    assert g.id_mask(word_bitmap(n, words)) == expected
 
 
 def test_is_connected_large():

@@ -17,6 +17,7 @@ from cubecodes import (
     has_circular_ones_run,
     is_perfect_code,
 )
+from cubecodes import claims, hamming
 from cubecodes.claims import _decode_escape
 from cubecodes.graphs import InducedGraph
 
@@ -221,6 +222,41 @@ def test_construct_punctured_kinds():
             assert is_perfect_code(graph, code_set)
     with pytest.raises(ValueError):
         construct_gen_lucas_code(3, "n-3")
+
+
+@pytest.mark.parametrize("s_kind", ["n", "n-1", "n-2"])
+def test_construction_names_the_lowest_codeword_outside_the_graph(monkeypatch, s_kind):
+    p = 3
+    n = (1 << p) - 1
+    members = construct_gen_lucas_code(p, s_kind).word_bits()
+    dropped = {members[5], members[2]}
+    built = hamming.build_graph
+
+    def damaged(family, n):
+        graph = built(family, n)
+        return InducedGraph(n, [v for v in graph.vertices if v not in dropped], family)
+
+    monkeypatch.setattr(hamming, "build_graph", damaged)
+    lowest = BitWord(n, members[2])
+    with pytest.raises(AssertionError, match=f"^constructed codeword {lowest} fell outside the graph$"):
+        construct_gen_lucas_code(p, s_kind)
+
+
+def test_punctured_constructions_build_no_word_index(monkeypatch):
+    # prop-1n12 decides everything on word bitmaps: the construction, the
+    # perfect-code check, the decode closure and connectivity
+    graphs = []
+    built = hamming.build_graph
+
+    def recording(family, n):
+        graphs.append(built(family, n))
+        return graphs[-1]
+
+    monkeypatch.setattr(hamming, "build_graph", recording)
+    assert claims.check_punctured_constructions().verdict == "pass"
+    assert len(graphs) == 6
+    for graph in graphs:
+        assert "index" not in graph.__dict__, (str(graph.family), graph.n)
 
 
 def test_run_minus_one_graph_is_hypercube_without_ball():
