@@ -35,6 +35,22 @@ def test_enumerate_count(capsys):
     assert code == 0 and out == "127\n"
 
 
+@pytest.mark.parametrize("family", ["qn", "fib", "lucas", "fib1s:3", "lucas1s:3"])
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_enumerate_count_is_the_listings_length(capsys, family, n):
+    code, listing, _ = run_cli(capsys, "enumerate", "--family", family, "--n", str(n))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "enumerate", "--family", family, "--n", str(n), "--count")
+    assert code == 0 and out == f"{len(listing.splitlines())}\n"
+
+
+def test_enumerate_count_is_held_to_the_enumeration_cap(capsys, monkeypatch):
+    monkeypatch.setenv("CUBECODES_ENUM_CAP", "16")
+    assert run_cli(capsys, "enumerate", "--family", "qn", "--n", "4", "--count") == (0, "16\n", "")
+    code, out, err = run_cli(capsys, "enumerate", "--family", "qn", "--n", "5", "--count")
+    assert (code, out) == (1, "") and "CUBECODES_ENUM_CAP" in err
+
+
 def test_enumerate_empty_word(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--family", "fib", "--n", "0")
     assert code == 0 and out == "\n"
@@ -64,6 +80,51 @@ def test_search_first_witness(capsys):
     payload = json.loads(out)
     assert payload["status"] == "found"
     assert payload["witness"] == ["000"]
+
+
+@pytest.mark.parametrize("family", ["lucas", "fib", "qn"])
+@pytest.mark.parametrize("n, word", [(0, ""), (1, "0")])
+def test_search_witness_at_the_shortest_lengths(capsys, family, n, word):
+    # At n=0 the one vertex is the empty word, printed as "", not as "0".
+    code, out, _ = run_cli(capsys, "search", "--family", family, "--n", str(n))
+    assert code == 0
+    payload = json.loads(out)
+    del payload["millis"]
+    assert payload == {"status": "found", "witness": [word], "nodes": 2, "seed": 0}
+
+
+# Seeded first-mode searches on n=7 graphs that carry perfect codes: each
+# seed's node count and witness words, as the seeded candidate order gives them.
+SEEDED_FIRST_CODES = {
+    ("qn", 1): (17, "0000011 0001000 0010100 0011111 0100101 0101110 0110010 0111001 "
+                    "1000110 1001101 1010001 1011010 1100000 1101011 1110111 1111100"),
+    ("qn", 2): (17, "0000000 0000111 0011010 0011101 0101011 0101100 0110001 0110110 "
+                    "1001001 1001110 1010011 1010100 1100010 1100101 1111000 1111111"),
+    ("qn", 3): (17, "0000100 0001010 0010111 0011001 0100001 0101111 0110010 0111100 "
+                    "1000011 1001101 1010000 1011110 1100110 1101000 1110101 1111011"),
+    ("lucas1s:4", 1): (102, "0000000 0001011 0010110 0011101 0100111 0101100 0110001 0111010 "
+                            "1000101 1001110 1010011 1011000 1100010 1101001 1110100"),
+    ("lucas1s:4", 2): (111, "0000000 0001011 0010110 0011101 0100111 0101100 0110001 0111010 "
+                            "1000101 1001110 1010011 1011000 1100010 1101001 1110100"),
+    ("lucas1s:4", 3): (123, "0000000 0001101 0010111 0011010 0100011 0101110 0110100 0111001 "
+                            "1000110 1001011 1010001 1011100 1100101 1101000 1110010"),
+    ("fib1s:6", 1): (17, "0000011 0001110 0010000 0011101 0100101 0101000 0110110 0111011 "
+                         "1000100 1001001 1010111 1011010 1100010 1101111 1110001 1111100"),
+    ("fib1s:6", 2): (17, "0000111 0001001 0010000 0011110 0100100 0101010 0110011 0111101 "
+                         "1000010 1001100 1010101 1011011 1100001 1101111 1110110 1111000"),
+    ("fib1s:6", 3): (17, "0000010 0001100 0010111 0011001 0100001 0101111 0110100 0111010 "
+                         "1000101 1001011 1010000 1011110 1100110 1101000 1110011 1111101"),
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(SEEDED_FIRST_CODES))
+def test_seeded_first_search_is_pinned(capsys, family, seed):
+    code, out, _ = run_cli(capsys, "search", "--family", family, "--n", "7", "--seed", str(seed))
+    assert code == 0
+    payload = json.loads(out)
+    nodes, words = SEEDED_FIRST_CODES[family, seed]
+    assert (payload["status"], payload["seed"]) == ("found", seed)
+    assert (payload["nodes"], payload["witness"]) == (nodes, words.split())
 
 
 def test_search_avoid_circular_run(capsys):

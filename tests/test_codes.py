@@ -496,6 +496,13 @@ def induced_graphs(draw, max_words=24):
     return InducedGraph(n, sorted(words))
 
 
+@given(graph=induced_graphs())
+def test_blocks_are_the_vertex_and_its_neighbor_ids_on_random_graphs(graph):
+    # The search's blocks come from closed_mask, which shares no code with neighbor_ids.
+    for i in range(len(graph)):
+        assert graph.closed_mask(i) == sum(1 << j for j in [i, *graph.neighbor_ids(i)])
+
+
 @given(graph=induced_graphs(), data=st.data())
 @example(graph=InducedGraph(0, [0]), data=None)
 @example(graph=InducedGraph(0, []), data=None)

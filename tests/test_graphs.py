@@ -177,6 +177,38 @@ def test_level_degree_profile_lucas9():
         g.level_degree_profile(9, 10)
 
 
+def _reference_level_profile(g, k_from, k_to, restrict):
+    """Per-vertex counts by a distance test against every kept vertex of the target level."""
+    def kept(k):
+        return [
+            bits for bits in g.vertices
+            if bits.bit_count() == k and (restrict is None or restrict(BitWord(g.n, bits)))
+        ]
+
+    targets = kept(k_to)
+    return [sum((u ^ w).bit_count() == 1 for u in targets) for w in kept(k_from)]
+
+
+@pytest.mark.parametrize("family", [HYPERCUBE, FIBONACCI, LUCAS, gen_lucas(3), gen_fibonacci(3)], ids=str)
+def test_level_degree_profile_matches_a_reference_count(family):
+    for n in range(11):
+        g = build_graph(family, n)
+        for restrict in (None, lambda w: w.bit(1) == 1, lambda w: w.bits % 3 != 1):
+            for k_from in range(n + 1):
+                for k_to in (k_from - 1, k_from + 1):
+                    if 0 <= k_to <= n:
+                        expected = _reference_level_profile(g, k_from, k_to, restrict)
+                        assert g.level_degree_profile(k_from, k_to, restrict) == expected, (n, k_from, k_to)
+
+
+def test_closed_mask_is_the_vertex_and_its_neighbor_ids_on_families():
+    for n in range(10):
+        for family in _every_family(n):
+            g = build_graph(family, n)
+            for i in range(len(g)):
+                assert g.closed_mask(i) == sum(1 << j for j in [i, *g.neighbor_ids(i)]), (str(family), n, i)
+
+
 def test_lone_one_neighbor_count():
     for n in range(6, 13):
         g = build_graph(LUCAS, n)
@@ -457,6 +489,15 @@ def test_neighbor_ids_are_every_flip_ascending(case):
         assert g.neighbor_ids(i) == flips
         pairs += len(flips)
     assert g.edge_count() * 2 == pairs
+
+
+@given(case=cube_subsets())
+@example(case=(0, [0]))
+@example(case=(7, list(range(1 << 7))))
+def test_closed_mask_is_the_vertex_and_its_neighbor_ids(case):
+    g = InducedGraph(*case)
+    for i in range(len(g)):
+        assert g.closed_mask(i) == sum(1 << j for j in [i, *g.neighbor_ids(i)])
 
 
 @given(case=cube_subsets(), chosen=st.sets(st.integers(0, (1 << 7) - 1), max_size=40))
