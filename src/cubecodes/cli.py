@@ -13,7 +13,7 @@ import json
 import sys
 
 from .limits import ResourceLimitError, non_negative
-from .words import BitWord, Family, gen_lucas, iter_family_bits, parse_family
+from .words import BitWord, Family, family_bitmap, gen_lucas, iter_family_bits, parse_family
 from .graphs import VertexSet, build_graph
 from .codes import STATUS_BUDGET, STATUS_EXHAUSTED, search_constrained
 from .claims import (
@@ -69,8 +69,7 @@ def _emit(text: str, path: str | None):
 
 def _cmd_enumerate(args) -> int:
     if args.count:
-        total = sum(1 for _ in iter_family_bits(args.family, args.n))
-        _emit(f"{total}\n", args.output)
+        _emit(f"{family_bitmap(args.family, args.n).bit_count()}\n", args.output)
         return EXIT_OK
     width = args.n
     lines = []

@@ -81,9 +81,11 @@ import array
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 from .limits import ResourceLimitError, check_cap, default_node_budget, default_time_budget
 from .graphs import InducedGraph, VertexSet, word_bitmap
+from .words import flags_of_bitmap
 
 MODE_FIRST = "first"
 MODE_PROVE_NONE = "prove_none"
@@ -158,7 +160,8 @@ class SearchOutcome:
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}
         if self.witness is not None:
-            out["witness"] = [str(w) for w in self.witness.words()]
+            n = self.witness.graph.n
+            out["witness"] = [format(bits, f"0{n}b") if n else "" for bits in self.witness.word_bits()]
         if self.count is not None:
             out["count"] = self.count
         out["nodes"] = self.nodes
@@ -236,16 +239,17 @@ class _BitmapCover:
         return _BitmapCover(self.blocks, self.uncovered, self.available)
 
     def select(self) -> int:
-        """Usable blocks covering the vertex the search decides on next."""
-        masks = self.blocks.masks
+        """Usable blocks covering the vertex the search decides on next.
+
+        The blocks of the uncovered vertices are read in id order by a
+        compress over the uncovered bitmap's flags, up to the first with at
+        most one usable block.
+        """
         available = self.available
         best_count = None
         best_cands = 0
-        m = self.uncovered
-        while m:
-            low = m & -m
-            m ^= low
-            cands = masks[low.bit_length() - 1] & available
+        for mask in compress(self.blocks.masks, flags_of_bitmap(self.uncovered)):
+            cands = mask & available
             c = cands.bit_count()
             if c <= 1:
                 return cands
@@ -367,9 +371,9 @@ def _symmetry_group(graph: InducedGraph, allowed: int) -> list[list[int]]:
     allowed is the bitmap of the ids whose blocks are allowed; the others
     are banned.  Each element is a list g of vertex ids, g[x] the id of the
     image of vertex x.  The rotation by one position and the reversal are
-    checked once each, in O(V), as id maps through graph.index: a generator
-    is kept only if every image is a vertex and no banned id maps to an
-    allowed one.  It is then one-to-one on ids and on the banned ids, so it
+    checked once each, in O(V), as id maps read off graph.index with map: a
+    generator is kept only if every image is a vertex and the banned ids map
+    to banned ids.  It is then one-to-one on ids and on the banned ids, so it
     maps the vertices, the banned and the allowed blocks onto themselves,
     and it moves no Hamming distance, so it is an automorphism of the graph.
     The group the kept generators generate is built by composing their
@@ -383,13 +387,14 @@ def _symmetry_group(graph: InducedGraph, allowed: int) -> list[list[int]]:
         return []
     words = graph.vertices
     index = graph.index
-    banned = VertexSet(graph, ((1 << len(words)) - 1) & ~allowed).ids()
+    banned = set(VertexSet(graph, ((1 << len(words)) - 1) & ~allowed).ids())
 
     def id_map(images: list[int]) -> list[int] | None:
-        g = [index.get(w) for w in images]
-        if None in g or any(allowed >> g[x] & 1 for x in banned):
+        try:
+            g = list(map(index.__getitem__, images))
+        except KeyError:  # an image is not a vertex
             return None
-        return g
+        return g if banned.issuperset(map(g.__getitem__, banned)) else None
 
     full = (1 << n) - 1
     m = n - 1

@@ -5,7 +5,10 @@ vertex id of a word is its rank in that order, which is stable across runs.
 Vertex sets are bitmaps over dense ids, packed into a single integer.
 Neighbors are probed on demand: the n one-bit flips of a word are looked up
 in the word index, which is built at the first probe, and nothing is stored
-per vertex.  Questions about the whole graph are answered without probing,
+per vertex.  closed_mask ORs the ids the index finds straight into N[i]'s
+bitmap, with no neighbor_ids list or sort; level_degree_profile filters each
+weight level's words once and counts a vertex's flips among the target
+level's words with a set intersection, with no index probe.  Questions about the whole graph are answered without probing,
 on 2^n-bit bitmaps over the word space: bit w is set when the packed word w
 is in the set.  Flipping coordinate b of every word in such a bitmap is one
 shift pair under a coordinate mask, O(2^n / 64) word operations.  Connectivity floods the
@@ -124,6 +127,8 @@ class InducedGraph:
         self.family = family
         self.vertices = vertices
         self._vertex_bitmap = vertex_bitmap
+        # The XOR masks of the n one-bit flips.
+        self._flips = [1 << b for b in range(n)]
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -171,18 +176,26 @@ class InducedGraph:
         bits = self.vertices[i]
         index = self.index
         found = []
-        for b in range(self.n):
-            j = index.get(bits ^ (1 << b))
+        for f in self._flips:
+            j = index.get(bits ^ f)
             if j is not None:
                 found.append(j)
         found.sort()
         return found
 
     def closed_mask(self, i: int) -> int:
-        """Bitmap of N[i]: the vertex and its neighbors."""
+        """Bitmap of N[i]: the vertex and its neighbors.
+
+        The ids of the vertex's one-bit flips that are vertices are ORed in
+        as the index finds them, with no neighbor list.
+        """
+        bits = self.vertices[i]
+        index = self.index
         mask = 1 << i
-        for j in self.neighbor_ids(i):
-            mask |= 1 << j
+        for f in self._flips:
+            j = index.get(bits ^ f)
+            if j is not None:
+                mask |= 1 << j
         return mask
 
     def degree(self, i: int) -> int:
@@ -277,28 +290,25 @@ class InducedGraph:
         """Per-vertex counts of weight-k_to neighbors, over weight-k_from vertices.
 
         The levels must be adjacent.  An optional restriction predicate
-        filters both the profiled vertices and the neighbors counted.
+        filters both the profiled vertices and the neighbors counted.  Each
+        level's words are filtered once, the predicate called on level words
+        only, and a vertex's count is how many of its n one-bit flips are
+        among the target level's words.
         """
         if abs(k_from - k_to) != 1:
             raise ValueError(f"levels must be adjacent, got {k_from} and {k_to}")
         if not (0 <= k_from <= self.n and 0 <= k_to <= self.n):
             raise ValueError(f"levels must lie in 0..{self.n}")
-        profile = []
-        for i, bits in enumerate(self.vertices):
-            if bits.bit_count() != k_from:
-                continue
-            if restrict is not None and not restrict(BitWord(self.n, bits)):
-                continue
-            count = 0
-            for j in self.neighbor_ids(i):
-                nb = self.vertices[j]
-                if nb.bit_count() != k_to:
-                    continue
-                if restrict is not None and not restrict(BitWord(self.n, nb)):
-                    continue
-                count += 1
-            profile.append(count)
-        return profile
+
+        def level(k: int) -> list[int]:
+            words = [bits for bits in self.vertices if bits.bit_count() == k]
+            if restrict is None:
+                return words
+            return [bits for bits in words if restrict(BitWord(self.n, bits))]
+
+        targets = set(level(k_to))
+        flips = self._flips
+        return [len(targets.intersection([bits ^ f for f in flips])) for bits in level(k_from)]
 
     # -- export ------------------------------------------------------------
 
