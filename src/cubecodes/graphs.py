@@ -8,11 +8,12 @@ in the word index, which is built at the first probe, and nothing is stored
 per vertex.  closed_mask ORs the ids the index finds straight into N[i]'s
 bitmap, with no neighbor_ids list or sort; level_degree_profile filters each
 weight level's words once and counts a vertex's flips among the target
-level's words with a set intersection, with no index probe.  Questions about the whole graph are answered without probing,
-on 2^n-bit bitmaps over the word space: bit w is set when the packed word w
-is in the set.  Flipping coordinate b of every word in such a bitmap is one
-shift pair under a coordinate mask, O(2^n / 64) word operations.  Connectivity floods the
-vertex bitmap with these flips, in O(sweeps · n · 2^n / 64) word
+level's words with a set intersection, with no index probe.  Questions
+about the whole graph are answered without probing, on 2^n-bit bitmaps
+over the word space: bit w is set when the packed word w is in the set.
+Flipping coordinate b of every word in such a bitmap is one shift pair
+under a coordinate mask, O(2^n / 64) word operations.  Connectivity floods
+the vertex bitmap with these flips, in O(sweeps · n · 2^n / 64) word
 operations, where the sweep count is at most the diameter + 1; cover_bitmaps
 sums the closed neighborhoods of a set of words in O(n · 2^n / 64), which
 decides the perfect-code predicates of codes.py.  A family's graph is listed
