@@ -338,10 +338,11 @@ def test_search_constrained_q3():
 
 
 def test_search_constrained_q7():
+    # The enumerate benchmark workload's --avoid-circular-run searches, node counts pinned.
     q7 = build_graph(HYPERCUBE, 7)
-    for s in range(2, 7):
+    for s, nodes in zip(range(2, 7), (5, 10, 1, 1, 1)):
         out = search_constrained(q7, VertexSet.from_family(q7, gen_lucas(s)), "prove_none")
-        assert out.status == "exhausted", s
+        assert (out.status, out.nodes) == ("exhausted", nodes), s
     out = search_constrained(q7, VertexSet.from_family(q7, gen_lucas(7)), "first")
     assert out.status == "found"
     assert all(str(w) != "1111111" for w in out.witness.words())
@@ -931,6 +932,20 @@ def test_weighted_enumerate_counts_every_code(family, counted, count, nodes):
     assert count == count_perfect_codes_dfs(g)
     timed = forced_search(g, None, "enumerate", counted, time_budget=3600.0)
     assert _fingerprint(timed) == _fingerprint(out)
+
+
+@pytest.mark.parametrize(
+    "spec, count, nodes",
+    [
+        ("qn", 240, 635), ("lucas1s:4", 2, 158), ("lucas1s:5", 30, 441), ("lucas1s:6", 30, 269),
+        ("lucas1s:7", 210, 1535), ("fib1s:5", 42, 1075), ("fib1s:6", 150, 1190), ("fib1s:7", 210, 1535),
+    ],
+)
+def test_enumerate_workload_node_counts_are_pinned(spec, count, nodes):
+    # The unseeded enumerate ops of the enumerate benchmark workload, at the
+    # default settings.
+    out = find_perfect_code(build_graph(parse_family(spec), 7), "enumerate")
+    assert (out.status, out.count, out.nodes) == ("enumerated", count, nodes)
 
 
 def test_listed_codes_are_every_code(monkeypatch):
