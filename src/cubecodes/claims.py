@@ -88,6 +88,16 @@ def _require(condition: bool, **evidence):
         raise _Stop(VERDICT_FAIL, **evidence)
 
 
+def _require_set(name: str, values):
+    """Fail unless the parameter set values is not empty and holds no value twice."""
+    _require(bool(values), **{name: []}, stage=f"precondition {name} is not empty")
+    _require(
+        len(set(values)) == len(values),
+        **{name: list(values)},
+        stage=f"precondition {name} has no repeated value",
+    )
+
+
 def _search_verdict(outcome, expect: str, spent: int = 0, **evidence):
     """Map an engine outcome onto claim bookkeeping, honoring budgets.
 
@@ -198,7 +208,7 @@ def check_low_weight_structure(n_set=tuple(range(6, 15))) -> ClaimReport:
     params = {"n_set": list(n_set)}
 
     def body():
-        _require(bool(n_set), n_set=[], stage="precondition n_set is not empty")
+        _require_set("n_set", n_set)
         for n in n_set:
             _require(n >= 6, n=n, stage="precondition n >= 6")
             graph = build_graph(LUCAS, n)
@@ -298,7 +308,7 @@ def check_hypercube_avoidance(
     params = {"n_set": list(n_set)}
 
     def body():
-        _require(bool(n_set), n_set=[], stage="precondition n_set is not empty")
+        _require_set("n_set", n_set)
         counts = {}
         nodes = 0  # summed over every search
         for n in n_set:
@@ -362,7 +372,7 @@ def check_full_run_construction(p_set=(2, 3, 4)) -> ClaimReport:
     params = {"p_set": list(p_set)}
 
     def body():
-        _require(bool(p_set), p_set=[], stage="precondition p_set is not empty")
+        _require_set("p_set", p_set)
         orders = {}
         for p in p_set:
             code = construct_gen_lucas_code(p, S_KIND_FULL)
@@ -398,7 +408,7 @@ def check_punctured_constructions(p_set=(2, 3, 4)) -> ClaimReport:
     params = {"p_set": list(p_set)}
 
     def body():
-        _require(bool(p_set), p_set=[], stage="precondition p_set is not empty")
+        _require_set("p_set", p_set)
         orders = {}
         for p in p_set:
             codeword_bits = build_hamming(p).codeword_bits()

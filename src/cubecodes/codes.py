@@ -58,16 +58,16 @@ only fall.  By induction over the skipped siblings every code is the
 G-image of a code the pruned tree reaches, so an enumeration that lists
 its codes expands those over G.
 
-The search core, _cover, is one function over id bitmaps: it runs a root
-cover state over _Blocks, a list of block masks, with the group given as
-id permutations, and reads no graph.  search_constrained is its graph
-adapter, and the one function that builds and runs a search, in the
-calling process: it checks the engine cap, builds the blocks from
-graph.closed_mask and the group with _symmetry_group, the one step that
-reads words, and turns the core's result into a SearchOutcome.  It reads
-COUNTED_MIN_VERTICES and _symmetry_group when called, so tests force a
-cover state or the plain tree by patching these module names, not through
-parameters; they run _cover with group=[] on blocks that no graph gives.
+The search core, _cover, runs a whole search on id bitmaps and reads no
+graph: given the block masks, the allowed ids and the group as id
+permutations, it picks the cover state, ends with a final status and
+expands a listing under the group.  Its graph adapter search_constrained
+runs every search in the calling process: it checks the budgets and the
+engine cap and builds the masks from graph.closed_mask, the group with
+_symmetry_group, the one step that reads words, and the seeded order.
+_cover reads COUNTED_MIN_VERTICES and search_constrained _symmetry_group
+when called, so tests patch these module names to force a cover state or
+the plain tree, also on relations no graph gives.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
@@ -462,15 +462,19 @@ def _ordered(cands: int, order: list[int] | None) -> list[int]:
     return out
 
 
-def _cover(state, group, order, node_budget, deadline, collect, stop_at_first):
-    """Search below the root state on an explicit stack of branch points.
+def _cover(masks, allowed, group, order, mode, node_budget, deadline, collect):
+    """Search the exact covers of the ids by the blocks in masks, using only allowed ones.
 
-    Returns (status, nodes, weighted count, codes): status is STATUS_FOUND,
-    STATUS_BUDGET, or None once the search is complete, and codes holds the
-    id tuple of every code found when collect is set, or of the first one
-    when stop_at_first is.  group is a list of id permutations that map the
-    blocks and the allowed ones onto themselves, [] for the plain tree; order
-    ranks the ids for the candidate order, None for ascending ids.
+    masks is a symmetric, reflexive relation as _Blocks takes it, allowed
+    the bitmap of the usable block ids, and group a list of id permutations
+    that map the blocks and the allowed ones onto themselves, [] for the
+    plain tree; order ranks the ids for the candidate order, None for
+    ascending ids.  The root state is counted from COUNTED_MIN_VERTICES ids
+    up.  Returns (status, nodes, weighted count, codes) with a final status.
+    first and prove_none share one path, which stops at the first code, its
+    id tuple in codes; an enumeration with collect expands the codes it
+    reaches under the group into every code, as many as the weighted count
+    (or this raises), in ascending order.
 
     chosen holds the blocks taken above the current node, and weight is its
     weight, 1 at the root.  Each node covers the vertex that state.select()
@@ -485,8 +489,12 @@ def _cover(state, group, order, node_budget, deadline, collect, stop_at_first):
     weights holds each kept candidate's weight.  A code found adds its
     node's weight to count.
     """
-    nodes = 0
-    count = 0
+    if len(masks) >= COUNTED_MIN_VERTICES:
+        state = _CountedCover.root(_Blocks(masks), allowed)
+    else:
+        state = _BitmapCover(_Blocks(masks), (1 << len(masks)) - 1, allowed)
+    stop = mode != MODE_ENUMERATE
+    nodes = count = 0
     codes: list[tuple[int, ...]] = []
     stack: list[list] = []
     chosen: list[int] = []
@@ -499,9 +507,9 @@ def _cover(state, group, order, node_budget, deadline, collect, stop_at_first):
             return STATUS_BUDGET, nodes, count, codes
         if not state.uncovered:
             count += weight
-            if collect or stop_at_first:
+            if collect or stop:
                 codes.append(tuple(chosen))
-            if stop_at_first:
+            if stop:
                 return STATUS_FOUND, nodes, count, codes
         else:
             cands = state.select()
@@ -514,7 +522,7 @@ def _cover(state, group, order, node_budget, deadline, collect, stop_at_first):
                 chosen.append(v)
                 continue
         if not stack:
-            return None, nodes, count, codes
+            break
         frame = stack[-1]
         base, tries, i, depth, weights = frame
         if i + 1 < len(tries):
@@ -528,6 +536,14 @@ def _cover(state, group, order, node_budget, deadline, collect, stop_at_first):
         v = tries[i]
         state.take(v)
         chosen.append(v)
+    if stop:
+        return STATUS_EXHAUSTED, nodes, count, codes
+    if collect:
+        listed = {code for sol in codes for code in _images(group, sol)}
+        if len(listed) != count:
+            raise RuntimeError(f"listed {len(listed)} codes, but the weighted count is {count}")
+        codes = sorted(listed)
+    return STATUS_ENUMERATED, nodes, count, codes
 
 
 def _normalize_mode(mode: str) -> str:
@@ -563,14 +579,12 @@ def search_constrained(
     to the CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment
     caps, and must be non-negative.
 
-    Two module names are read at each call, and tests patch them to force a
-    cover state or the plain tree: COUNTED_MIN_VERTICES picks the state, and
-    every search prunes by the group _symmetry_group builds.  The search runs
-    in the calling process, with one node count and one deadline, both
-    tested at every node.  An enumeration with collect_witnesses lists every
-    code: the codes the pruned tree reaches and their images under that
-    group, as many as the weighted count (or this raises), in ascending
-    order of their id tuples.
+    The search runs in the calling process, with one node count and one
+    deadline, both tested at every node.  It prunes by the group that
+    _symmetry_group builds, a module name that tests patch for the plain
+    tree, and _cover picks the cover state, gives the status and lists the
+    codes: an enumeration with collect_witnesses lists every code, in
+    ascending order of their id tuples.
     """
     if node_budget is None:
         node_budget = default_node_budget()
@@ -583,34 +597,20 @@ def search_constrained(
         raise ValueError(f"time budget must be non-negative, got {time_budget} s")
     n_vertices = len(graph)
     check_cap("engine_cap", n_vertices, f"a search on {n_vertices} vertices")
-    blocks = _Blocks([graph.closed_mask(i) for i in range(n_vertices)])
+    masks = [graph.closed_mask(i) for i in range(n_vertices)]
     allowed = (1 << n_vertices) - 1 if codewords is None else _as_code(graph, codewords).mask
-
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
-    group = _symmetry_group(graph, allowed)
-    if n_vertices >= COUNTED_MIN_VERTICES:
-        root = _CountedCover.root(blocks, allowed)
-    else:
-        root = _BitmapCover(blocks, (1 << n_vertices) - 1, allowed)
-    collect = collect_witnesses and mode == MODE_ENUMERATE
     status, nodes, count, found = _cover(
-        root, group, _candidate_order(n_vertices, seed), node_budget, deadline, collect,
-        mode in (MODE_FIRST, MODE_PROVE_NONE),
+        masks, allowed, _symmetry_group(graph, allowed), _candidate_order(n_vertices, seed), mode,
+        node_budget, deadline, collect_witnesses,
     )
-    if status is None:
-        status = STATUS_ENUMERATED if mode == MODE_ENUMERATE else STATUS_EXHAUSTED
-    witnesses = None
-    if status == STATUS_ENUMERATED and collect:
-        listed = {code for sol in found for code in _images(group, sol)}
-        if len(listed) != count:
-            raise RuntimeError(f"listed {len(listed)} codes, but the weighted count is {count}")
-        witnesses = [VertexSet.from_ids(graph, code) for code in sorted(listed)]
+    listed = status == STATUS_ENUMERATED and collect_witnesses
     return SearchOutcome(
         status=status,
         witness=VertexSet.from_ids(graph, found[0]) if status == STATUS_FOUND else None,
         count=count if status == STATUS_ENUMERATED else None,
-        witnesses=witnesses,
+        witnesses=[VertexSet.from_ids(graph, code) for code in found] if listed else None,
         nodes=nodes,
         millis=int((time.monotonic() - started) * 1000),
         seed=seed,

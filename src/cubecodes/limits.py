@@ -2,7 +2,12 @@
 
 Every cap and default budget is read when it is used, so callers see the
 current environment; nothing is cached at import time.  check_cap is the
-one place a request is held against a cap.
+one place a request is held against one of these caps.  Two fixed limits
+with no variable raise ResourceLimitError on their own: the naive
+subset-scan oracle's NAIVE_SUBSET_LIMIT in codes.py (cap_name
+"naive_subset_limit", 24 vertices) and MATERIALIZE_MAX_P in hamming.py
+("hamming_materialize_max_p", p = 4), which bounds
+HammingCode.codeword_bits.
 """
 
 import os

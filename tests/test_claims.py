@@ -106,6 +106,23 @@ def test_empty_parameter_set_fails(check, name):
     assert report.evidence == {name: [], "stage": f"precondition {name} is not empty"}
 
 
+@pytest.mark.parametrize(
+    "check, name, values",
+    [
+        (check_low_weight_structure, "n_set", (6, 7, 6)),
+        (check_hypercube_avoidance, "n_set", (3, 3)),
+        (check_full_run_construction, "p_set", (2, 2)),
+        (check_punctured_constructions, "p_set", (3, 2, 3)),
+    ],
+    ids=["lemma-0n", "prop-qn-avoid", "prop-1n", "prop-1n12"],
+)
+def test_parameter_set_with_a_repeated_value_fails(check, name, values):
+    # a repeated value would be checked twice and counted twice in the evidence
+    report = check(**{name: values})
+    assert report.verdict == "fail"
+    assert report.evidence == {name: list(values), "stage": f"precondition {name} has no repeated value"}
+
+
 def test_budget_interruption_never_passes():
     report = check_lucas_nonexistence(n_max=14, node_budget=20)
     assert report.verdict == "skipped"

@@ -441,6 +441,19 @@ def test_verify_range_below_the_claim_fails(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["--claim", "prop-qn-avoid", "--n-set", "3,3"], ["--claim", "prop-1n12", "--p-set", "2,3,2"]],
+)
+def test_verify_set_with_a_repeated_value_fails(capsys, argv):
+    # prop-qn-avoid --n-set 3,3 used to pass with n = 3 searched twice
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 1
+    [report] = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["evidence"]["stage"].endswith("has no repeated value")
+
+
+@pytest.mark.parametrize(
     "flags", [["--n-max", "6"], ["--p", "2"], ["--p-set", "2,3"], ["--n-set", "3"]]
 )
 def test_verify_all_refuses_range_flags(capsys, flags):

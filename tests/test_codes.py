@@ -1,5 +1,6 @@
 """Perfect-code predicates and the exact-cover search engine."""
 
+import contextlib
 import math
 import os
 import random
@@ -38,13 +39,20 @@ from cubecodes.graphs import InducedGraph
 W = BitWord.from_string
 
 
-def forced_search(graph, codewords, mode, counted, **kwargs):
-    """search_constrained in the counted or the bitmap state.
+@contextlib.contextmanager
+def cover_state(counted, n_ids):
+    """Force the counted or the bitmap state on searches over n_ids ids.
 
-    Patches codes.COUNTED_MIN_VERTICES, which the search reads when called.
+    Patches codes.COUNTED_MIN_VERTICES, which _cover reads when called.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codes, "COUNTED_MIN_VERTICES", 0 if counted else len(graph) + 1)
+        patch.setattr(codes, "COUNTED_MIN_VERTICES", 0 if counted else n_ids + 1)
+        yield
+
+
+def forced_search(graph, codewords, mode, counted, **kwargs):
+    """search_constrained in the counted or the bitmap state."""
+    with cover_state(counted, len(graph)):
         return search_constrained(graph, codewords, mode, **kwargs)
 
 
@@ -670,6 +678,30 @@ def exact_covers(masks, allowed):
     return sorted(found)
 
 
+def check_cover_core(masks, allowed, group, order):
+    """_cover against the subset scan, in both cover states.
+
+    The listing, the weighted count and the first and prove_none verdicts
+    must be the scan's; first and prove_none take one path, and an
+    enumeration that lists its codes searches the tree of one that does not.
+    """
+    expected = exact_covers(masks, allowed)
+    for counted in (False, True):
+        with cover_state(counted, len(masks)):
+            def cover(mode, collect=False):
+                return codes._cover(masks, allowed, group, order, mode, None, None, collect)
+
+            status, nodes, count, listed = cover("enumerate", True)
+            assert (status, count, listed) == ("enumerated", len(expected), expected), counted
+            assert cover("enumerate") == ("enumerated", nodes, count, [])
+            first = cover("first")
+            assert cover("prove_none") == first
+            if expected:
+                assert first[0] == "found" and tuple(sorted(first[3][0])) in expected
+            else:
+                assert (first[0], first[3]) == ("exhausted", [])
+
+
 @settings(max_examples=150)
 @given(masks=reflexive_relations(), data=st.data())
 def test_cover_core_matches_a_subset_scan_on_random_relations(masks, data):
@@ -678,23 +710,64 @@ def test_cover_core_matches_a_subset_scan_on_random_relations(masks, data):
     full = (1 << len(masks)) - 1
     allowed = data.draw(st.sampled_from([full]) | st.integers(0, full))
     order = data.draw(st.none() | st.permutations(range(len(masks))).map(list))
-    expected = exact_covers(masks, allowed)
-    for counted in (False, True):
-        def root():
-            blocks = codes._Blocks(masks)
-            if counted:
-                return codes._CountedCover.root(blocks, allowed)
-            return codes._BitmapCover(blocks, full, allowed)
+    check_cover_core(masks, allowed, [], order)
 
-        status, nodes, count, listed = codes._cover(root(), [], order, None, None, True, False)
-        assert (status, count) == (None, len(expected)), counted
-        assert sorted(tuple(sorted(code)) for code in listed) == expected, counted
-        assert codes._cover(root(), [], order, None, None, False, False)[1:] == (nodes, count, [])
-        status, _, _, first = codes._cover(root(), [], order, None, None, False, True)
-        if expected:
-            assert status == codes.STATUS_FOUND and tuple(sorted(first[0])) in expected
-        else:
-            assert (status, first) == (None, [])
+
+def powers(sigma):
+    """The powers of the id permutation sigma other than the identity, as id lists."""
+    group = []
+    power = sigma
+    while power != sorted(sigma):
+        group.append(power)
+        power = [sigma[x] for x in power]
+    return group
+
+
+@st.composite
+def invariant_relations(draw, max_ids=11):
+    """A random symmetric, reflexive relation closed under a random permutation sigma.
+
+    sigma's cycles are runs of a shuffle of the ids, cut at random points,
+    and the relation closes a few random pairs under sigma, so it is often
+    sparse enough to branch below the root.  Returns the block masks, the
+    allowed ids as a union of sigma's orbits, the powers of sigma other than
+    the identity as id lists, and a candidate order.
+    """
+    k = draw(st.integers(0, max_ids))
+    shuffled = draw(st.permutations(range(k)))
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1))) if k > 1 else set())
+    sigma = list(range(k))
+    for start, end in zip([0, *cuts], [*cuts, k]):
+        cycle = shuffled[start:end]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[x] = y
+    group = powers(sigma)
+    masks = [1 << i for i in range(k)]
+    ids = st.integers(0, max(k - 1, 0))
+    for i, j in draw(st.lists(st.tuples(ids, ids), max_size=k)):
+        for g in [list(range(k)), *group]:
+            masks[g[i]] |= 1 << g[j]
+            masks[g[j]] |= 1 << g[i]
+    orbits = {min([x] + [g[x] for g in group]) for x in range(k)}
+    kept = draw(st.just(orbits) | st.sets(st.sampled_from(sorted(orbits))) if orbits else st.just(set()))
+    allowed = sum(1 << x for x in range(k) if min([x] + [g[x] for g in group]) in kept)
+    return masks, allowed, group, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=400)
+@given(relation=invariant_relations())
+@example(relation=([7, 7, 7, 56, 56, 56], 63, powers([3, 4, 5, 1, 2, 0]), [0, 1, 2, 3, 4, 5]))
+def test_cover_core_prunes_by_a_group_on_random_relations(relation):
+    # The group is given as id lists, as an orbit quotient would give it,
+    # and no cube graph need have these relations as closed neighborhoods.
+    # In the example, two triangles that the group swaps: the branch point
+    # below the first taken block keeps all three blocks of the other, as
+    # no element but the identity fixes the block taken.
+    masks, allowed, group, order = relation
+    with pytest.MonkeyPatch.context() as patch:
+        audit_pruning(patch)
+        for ranks in (None, order):
+            check_cover_core(masks, allowed, group, ranks)
 
 
 def test_frontier_node_counts_are_pinned(monkeypatch):

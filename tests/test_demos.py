@@ -1,4 +1,7 @@
-"""The demo scripts run from the repository root against the source tree."""
+"""The demo scripts run from the repository root against the source tree.
+
+They run with -W error, as pytest's filterwarnings = error runs the tests.
+"""
 
 import os
 import subprocess
@@ -18,7 +21,7 @@ def test_every_demo_is_collected():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     child = subprocess.run(
-        [sys.executable, str(demo.relative_to(ROOT))],
+        [sys.executable, "-W", "error", str(demo.relative_to(ROOT))],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": "src"},
     )
