@@ -715,9 +715,10 @@ def test_cover_core_matches_a_subset_scan_on_random_relations(masks, data):
 
 def powers(sigma):
     """The powers of the id permutation sigma other than the identity, as id lists."""
+    identity = list(range(len(sigma)))
     group = []
     power = sigma
-    while power != sorted(sigma):
+    while power != identity:
         group.append(power)
         power = [sigma[x] for x in power]
     return group
@@ -748,9 +749,10 @@ def invariant_relations(draw, max_ids=11):
         for g in [list(range(k)), *group]:
             masks[g[i]] |= 1 << g[j]
             masks[g[j]] |= 1 << g[i]
-    orbits = {min([x] + [g[x] for g in group]) for x in range(k)}
+    first = [min([x] + [g[x] for g in group]) for x in range(k)]  # the least id of x's orbit
+    orbits = set(first)
     kept = draw(st.just(orbits) | st.sets(st.sampled_from(sorted(orbits))) if orbits else st.just(set()))
-    allowed = sum(1 << x for x in range(k) if min([x] + [g[x] for g in group]) in kept)
+    allowed = sum(1 << x for x in range(k) if first[x] in kept)
     return masks, allowed, group, draw(st.permutations(range(k)))
 
 
