@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--budget-nodes", type=budget_nodes, default=None)
     p_search.add_argument("--budget-seconds", type=budget_seconds, default=None)
-    p_search.add_argument("--seed", type=int, default=0, help="search-order seed (0 = canonical)")
+    p_search.add_argument(
+        "--seed", type=non_negative(int), default=0, help="search-order seed (0 = canonical)"
+    )
     p_search.add_argument("--output", "-o", default=None)
     p_search.set_defaults(func=_cmd_search)
 

@@ -18,10 +18,13 @@ candidates by popcount in id order up to the first vertex with at most one
 usable block; a vertex left with none at a higher id is found only after
 the forced moves below it.  From COUNTED_MIN_VERTICES up, every vertex's
 count of usable blocks is also kept, as a few bit planes over the ids: a
-move sums the masks of the blocks it drops into planes and subtracts them
-with one ripple borrow, a node reads the least count by narrowing the
-uncovered bitmap plane by plane, and it is a dead end as soon as a count
-reaches 0.  Below such a vertex the bitmap state makes only forced moves,
+move sums the masks of the blocks it drops into planes (the three low ones
+held in locals) and subtracts them with one ripple borrow, a node reads
+the least count by narrowing the uncovered bitmap plane by plane, and it
+is a dead end as soon as a count reaches 0.  The node keeps the vertices
+of least count it narrowed to, and a move that leaves one of them
+uncovered with no usable block skips the count update: it marks the state
+dead, and the node below ends as a dead end.  Below such a vertex the bitmap state makes only forced moves,
 with no branch point and no solution, so both give the same branch points,
 counts and witnesses, and the counted state searches fewer nodes.
 
@@ -269,20 +272,34 @@ def _sum_blocks(masks: list[int], ids: int) -> list[int]:
 
     Plane i holds bit i of every vertex's count; each block is added with a
     ripple carry, and there are just enough planes for the largest count.
+    The three low planes are held in locals, and a carry past the third
+    ripples on through a list of the higher ones.
     """
-    planes: list[int] = []
+    p0 = p1 = p2 = 0
+    high: list[int] = []
     while ids:
         low = ids & -ids
         ids ^= low
-        carry = masks[low.bit_length() - 1]
-        for i, p in enumerate(planes):
-            planes[i] = p ^ carry
-            carry &= p
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-    return planes
+        mask = masks[low.bit_length() - 1]
+        carry = p0 & mask
+        p0 ^= mask
+        if carry:
+            mask = p1 & carry
+            p1 ^= carry
+            if mask:
+                carry = p2 & mask
+                p2 ^= mask
+                if carry:
+                    for i, p in enumerate(high):
+                        high[i] = p ^ carry
+                        carry &= p
+                        if not carry:
+                            break
+                    else:
+                        high.append(carry)
+    if high:
+        return [p0, p1, p2, *high]
+    return [p0, p1, p2] if p2 else [p0, p1] if p1 else [p0] if p0 else []
 
 
 class _CountedCover:
@@ -297,15 +314,25 @@ class _CountedCover:
     select() reads the uncovered vertex of least count, the lowest id among
     equals, as the popcount scan would; one with no usable block gives no
     candidates, so the node is a dead end as soon as a count reaches 0.
+
+    select() also keeps least, the bitmap of the uncovered vertices of least
+    count, which copy() copies.  Before a move updates the planes, it looks
+    for a vertex of least that the move leaves uncovered with no usable
+    block.  If there is one, the node below is a dead end, so the move sets
+    only the bitmaps and leaves the state dead, planes None: select() on a
+    dead state returns 0, and no move is taken from it, nor is it copied.
     """
 
-    __slots__ = ("blocks", "uncovered", "available", "planes")
+    __slots__ = ("blocks", "uncovered", "available", "planes", "least")
 
-    def __init__(self, blocks: _Blocks, uncovered: int, available: int, planes: list[int]):
+    def __init__(
+        self, blocks: _Blocks, uncovered: int, available: int, planes: list[int] | None, least: int = 0
+    ):
         self.blocks = blocks
         self.uncovered = uncovered
         self.available = available
         self.planes = planes
+        self.least = least
 
     @classmethod
     def root(cls, blocks: _Blocks, available: int) -> _CountedCover:
@@ -313,22 +340,39 @@ class _CountedCover:
         return cls(blocks, (1 << len(masks)) - 1, available, _sum_blocks(masks, available))
 
     def copy(self) -> _CountedCover:
-        return _CountedCover(self.blocks, self.uncovered, self.available, self.planes.copy())
+        return _CountedCover(self.blocks, self.uncovered, self.available, self.planes.copy(), self.least)
 
     def select(self) -> int:
-        """Usable blocks covering the vertex the search decides on next."""
+        """Usable blocks covering the vertex the search decides on next; 0 on a dead state."""
+        planes = self.planes
+        if planes is None:
+            return 0
         m = self.uncovered
-        for p in reversed(self.planes):
+        for p in reversed(planes):
             clear = m & ~p
             if clear:
                 m = clear
+        self.least = m
         return self.blocks.masks[(m & -m).bit_length() - 1] & self.available
 
     def take(self, v: int):
         """Choose block v: cover N[v] and drop every block that overlaps it."""
         blocks = self.blocks
+        masks = blocks.masks
         gone = blocks.conflicts(v)
-        dropped = _sum_blocks(blocks.masks, gone & self.available)
+        mask = masks[v]
+        available = self.available
+        left = available & ~gone
+        self.uncovered &= ~mask
+        self.available = left
+        rest = self.least & ~mask
+        while rest:
+            low = rest & -rest
+            if not masks[low.bit_length() - 1] & left:
+                self.planes = None
+                return
+            rest ^= low
+        dropped = _sum_blocks(masks, gone & available)
         planes = self.planes
         # planes -= dropped: one full subtractor per plane, on every vertex at once.
         borrow = 0
@@ -343,8 +387,6 @@ class _CountedCover:
             planes[i] = p ^ borrow
             borrow &= ~p
             i += 1
-        self.uncovered &= ~blocks.masks[v]
-        self.available &= ~gone
 
 
 # Bit order reversed within each byte value.
@@ -577,7 +619,7 @@ def search_constrained(
     vertex.  Blocks N[v] of the vertices outside it are removed from the
     cover; the universe to dominate is still all of V(G).  Budgets default
     to the CUBECODES_BUDGET_NODES / CUBECODES_BUDGET_SECONDS environment
-    caps, and must be non-negative.
+    caps, and must be non-negative, as must the seed.
 
     The search runs in the calling process, with one node count and one
     deadline, both tested at every node.  It prunes by the group that
@@ -595,6 +637,8 @@ def search_constrained(
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget} s")
+    if seed < 0:  # random.Random seeds with abs(seed): -5 would run seed 5's order
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n_vertices = len(graph)
     check_cap("engine_cap", n_vertices, f"a search on {n_vertices} vertices")
     masks = [graph.closed_mask(i) for i in range(n_vertices)]

@@ -174,6 +174,16 @@ def test_malformed_budget_is_usage_error(capsys, command, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "-5", "two"])
+def test_malformed_seed_is_usage_error(capsys, value):
+    # Refused by the parser: random.Random seeds with the absolute value of
+    # an int, so --seed -5 would run --seed 5's candidate order.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["search", "--family", "lucas", "--n", "3", "--seed", value])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_malformed_run_length_is_usage_error(capsys, value):
     # Refused by the parser, before any graph is built; a run longer than
