@@ -24,9 +24,10 @@ the least count by narrowing the uncovered bitmap plane by plane, and it
 is a dead end as soon as a count reaches 0.  The node keeps the vertices
 of least count it narrowed to, and a move that leaves one of them
 uncovered with no usable block skips the count update: it marks the state
-dead, and the node below ends as a dead end.  Below such a vertex the bitmap state makes only forced moves,
-with no branch point and no solution, so both give the same branch points,
-counts and witnesses, and the counted state searches fewer nodes.
+dead, and the node below ends as a dead end.  Below such a vertex the
+bitmap state makes only forced moves, with no branch point and no
+solution, so both give the same branch points, counts and witnesses, and
+the counted state searches fewer nodes.
 
 The search skips subtrees that a symmetry maps onto a sibling already
 searched, and enumerate counts each subtree it keeps once for every one it
@@ -318,9 +319,11 @@ class _CountedCover:
     select() also keeps least, the bitmap of the uncovered vertices of least
     count, which copy() copies.  Before a move updates the planes, it looks
     for a vertex of least that the move leaves uncovered with no usable
-    block.  If there is one, the node below is a dead end, so the move sets
-    only the bitmaps and leaves the state dead, planes None: select() on a
-    dead state returns 0, and no move is taken from it, nor is it copied.
+    block; a least kept from an earlier node can only miss one.  If there is
+    one, the node below is a dead end, so the move sets only the bitmaps and
+    leaves the state dead, planes None.  select() on a dead state returns 0,
+    so the node below still counts and ends as the dead end it is; no move
+    is taken from a dead state, nor is it copied.
     """
 
     __slots__ = ("blocks", "uncovered", "available", "planes", "least")
@@ -360,12 +363,13 @@ class _CountedCover:
         blocks = self.blocks
         masks = blocks.masks
         gone = blocks.conflicts(v)
-        mask = masks[v]
         available = self.available
         left = available & ~gone
-        self.uncovered &= ~mask
+        self.uncovered = uncovered = self.uncovered & ~masks[v]
         self.available = left
-        rest = self.least & ~mask
+        # A vertex of least count left uncovered with no usable block makes
+        # the node below a dead end, which reads no count.
+        rest = self.least & uncovered
         while rest:
             low = rest & -rest
             if not masks[low.bit_length() - 1] & left:
