@@ -79,6 +79,16 @@ _cover reads COUNTED_MIN_VERTICES and search_constrained _symmetry_group
 when called, so tests patch these module names to force a cover state or
 the plain tree, also on relations no graph gives.
 
+For even n, search_constrained also bans, before the search, every block
+that overlaps N[v] for a vertex v of full degree, bar v's own, and every
+block if two such vertices lie within distance 2 or one is not allowed.
+Such a v, all n of whose one-bit flips are vertices, lies in every perfect
+code.  Let x be a code's indicator, so A·x = 1 for the closed-neighborhood
+matrix A, and y that of N[v]; then yᵀ·A·x = n + 1 is odd.  But
+|N[w] ∩ N[v]| is n + 1 at w = v, 2 at Hamming distance 1 or 2 (the common
+vertices are flips of v) and 0 further out, so yᵀ·A·x ≡ x_v (mod 2).  For
+odd n nothing is banned, and the search tree is as it was.
+
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
 Both budgets are tested at every node, so a time budget stops the search
@@ -624,6 +634,27 @@ def _candidate_order(n_vertices: int, seed: int) -> list[int] | None:
     return ranks
 
 
+def _ban_by_parity(masks: list[int], allowed: int, n: int) -> int:
+    """allowed less every block that overlaps the block of a vertex of full degree, bar its own.
+
+    For even n every vertex of full degree, whose block holds n + 1 ids,
+    lies in every perfect code (see search_constrained), so no code holds
+    another block that overlaps its block.  The vertices of full degree are
+    taken in id order.  One that is not allowed at its turn, banned from
+    the start or by an earlier one within distance 2, lies in no code, and
+    then 0 is returned, so that either cover state ends at its root.  One
+    that is allowed bans the rest of its radius-2 ball, so each later one
+    within distance 2 of it is then not allowed at its turn.
+    """
+    blocks = _Blocks(masks)
+    for v, mask in enumerate(masks):
+        if mask.bit_count() == n + 1:
+            if not allowed >> v & 1:
+                return 0
+            allowed ^= (blocks.conflicts(v) & allowed) ^ (1 << v)
+    return allowed
+
+
 def search_constrained(
     graph: InducedGraph,
     codewords: VertexSet | None,
@@ -648,6 +679,20 @@ def search_constrained(
     tree, and _cover picks the cover state, gives the status and lists the
     codes: an enumeration with collect_witnesses lists every code, in
     ascending order of their id tuples.
+
+    For even n, a vertex v of full degree, all n of its one-bit flips
+    vertices, lies in every perfect code, so before the search starts
+    _ban_by_parity bans every other block that overlaps N[v] (Biggs,
+    "Perfect codes in graphs", J. Combin. Theory B 15, 1973).  Let A be the
+    closed-neighborhood matrix and x a code's indicator, so A·x = 1 over
+    the integers, and let y be the indicator of N[v].  Then
+    yᵀ·A·x = |N[v]| = n + 1, which is odd, and yᵀ·A·x is the sum over w of
+    |N[w] ∩ N[v]|·x_w.  That is n + 1 at w = v; 2 at Hamming distance 1 or
+    2, the two vertices or the two common neighbors, both flips of v; and 0
+    further out.  So x_v ≡ 1 (mod 2), also when the codewords are held to
+    a set.  For odd n, n + 1 is even, the sum says nothing of x_v, and
+    nothing is banned.  Every automorphism maps the vertices of full degree
+    onto themselves, so the bans keep every element of the group.
     """
     if node_budget is None:
         node_budget = default_node_budget()
@@ -666,6 +711,8 @@ def search_constrained(
     allowed = (1 << n_vertices) - 1 if codewords is None else _as_code(graph, codewords).mask
     started = time.monotonic()
     deadline = started + time_budget if time_budget is not None else None
+    if graph.n % 2 == 0:
+        allowed = _ban_by_parity(masks, allowed, graph.n)
     status, nodes, count, found = _cover(
         masks, allowed, _symmetry_group(graph, allowed), _candidate_order(n_vertices, seed), mode,
         node_budget, deadline, collect_witnesses,
@@ -734,26 +781,26 @@ def count_perfect_codes_dfs(
     may be codewords; None allows every vertex.  Structurally unlike the
     engine: no candidate ordering, no conflict propagation, no forced-move
     handling; disjointness is re-checked against the covered set at every
-    step.
+    step.  The covered sets still to extend are kept on an explicit stack,
+    so a code of any size needs no recursion.
     """
     masks = [graph.closed_mask(i) for i in range(len(graph))]
     full = (1 << len(graph)) - 1
     allowed = full if codewords is None else _as_code(graph, codewords).mask
-
-    def rec(covered: int) -> int:
+    total = 0
+    stack = [0]
+    while stack:
+        covered = stack.pop()
         if covered == full:
-            return 1
-        low = (~covered & full) & -(~covered & full)
-        u = low.bit_length() - 1
-        total = 0
+            total += 1
+            continue
+        free = full ^ covered
+        u = (free & -free).bit_length() - 1
         cands = masks[u] & allowed
         while cands:
             lowc = cands & -cands
-            v = lowc.bit_length() - 1
+            nb = masks[lowc.bit_length() - 1]
             cands ^= lowc
-            nb = masks[v]
             if not covered & nb:
-                total += rec(covered | nb)
-        return total
-
-    return rec(0)
+                stack.append(covered | nb)
+    return total

@@ -126,9 +126,10 @@ def test_parameter_set_with_a_repeated_value_fails(check, name, values):
 def test_budget_interruption_never_passes():
     report = check_lucas_nonexistence(n_max=14, node_budget=20)
     assert report.verdict == "skipped"
-    # nodes sums the searches for n = 0..6 (32 nodes) and the one for n = 7,
-    # which ran out of its budget of 20 at node 21
-    assert list(report.evidence.items()) == [("nodes", 53), ("n", 7), ("reason", "budget")]
+    # nodes sums the searches for n = 0..6 (20 nodes; the even n end within
+    # 3 by parity) and the one for n = 7, which ran out of its budget of 20
+    # at node 21
+    assert list(report.evidence.items()) == [("nodes", 41), ("n", 7), ("reason", "budget")]
 
 
 def test_budget_skip_counts_every_search_it_ran():

@@ -367,8 +367,8 @@ def test_verify_reports_the_nodes_of_each_n(capsys):
     [report] = json.loads(out)
     assert report["verdict"] == "pass"
     evidence = report["evidence"]
-    assert evidence["nodes_by_n"] == {str(n): nodes for n, nodes in enumerate([2, 2, 2, 2, 6, 7, 11, 22, 41])}
-    assert evidence["nodes"] == sum(evidence["nodes_by_n"].values()) == 95
+    assert evidence["nodes_by_n"] == {str(n): nodes for n, nodes in enumerate([2, 2, 2, 2, 2, 7, 3, 22, 4])}
+    assert evidence["nodes"] == sum(evidence["nodes_by_n"].values()) == 46
     assert run_cli(capsys, *argv) == (0, out, "")
 
 

@@ -489,15 +489,15 @@ def test_representations_agree_on_families():
             g = build_graph(family, n)
             if len(g) <= 128:
                 check_against_oracles(g)
-            else:  # Q8 is exhausted in 120 nodes, 712 on the plain tree; Q9 needs far more
+            else:  # Q8 ends at its root by parity, also on the plain tree; Q9 needs far more
                 outs = search_both(g, None, "enumerate", node_budget=3000)
                 assert [(out.status, out.nodes) for out in outs] == 2 * [
-                    ("enumerated", 120) if n == 8 else ("budget-exceeded", 3001)
+                    ("enumerated", 1) if n == 8 else ("budget-exceeded", 3001)
                 ]
                 if n == 8:
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(codes, "_symmetry_group", no_symmetry)
-                        assert [out.nodes for out in search_both(g, None, "enumerate")] == [712, 712]
+                        assert [out.nodes for out in search_both(g, None, "enumerate")] == [1, 1]
     for s in range(2, 8):
         for family in (gen_lucas(s), gen_fibonacci(s)):
             check_against_oracles(build_graph(family, 7), seeds=(0, s))
@@ -546,14 +546,14 @@ def test_representations_agree_on_random_graphs(graph, banned, seed):
 def test_node_counts_are_pinned(monkeypatch):
     # Sizes of the MRV search tree, bitmap and counted state, first plain
     # and then pruned by symmetry: a change to the selection rule, the
-    # tie-break, the candidate order, the dead-end test or the group moves
-    # them.
+    # tie-break, the candidate order, the dead-end test, the group or, at
+    # even n, the parity bans moves them.
     for family, n, mode, plain, pruned in (
-        (LUCAS, 10, "prove_none", (142, 95), (116, 77)),
-        (LUCAS, 12, "prove_none", (521, 303), (218, 137)),
+        (LUCAS, 10, "prove_none", (7, 7), (7, 7)),
+        (LUCAS, 12, "prove_none", (32, 32), (25, 25)),
         (LUCAS, 13, "prove_none", (1461, 716), (1057, 507)),
-        (LUCAS, 14, "prove_none", (3919, 1896), (2940, 1424)),
-        (FIBONACCI, 12, "prove_none", (659, 332), (410, 224)),
+        (LUCAS, 14, "prove_none", (1094, 771), (685, 512)),
+        (FIBONACCI, 12, "prove_none", (35, 35), (35, 35)),
         (FIBONACCI, 13, "prove_none", (1835, 899), (1835, 899)),
         (HYPERCUBE, 7, "enumerate", (3169, 3169), (635, 635)),
     ):
@@ -887,7 +887,7 @@ def test_cover_core_prunes_by_a_group_on_random_relations():
 def test_frontier_node_counts_are_pinned(monkeypatch):
     # The longest prove-none searches of the refute benchmark workload, plain
     # and pruned by symmetry, at the default settings.
-    for family, n, plain, pruned in ((LUCAS, 15, 4752, 1672), (FIBONACCI, 14, 2405, 2405)):
+    for family, n, plain, pruned in ((LUCAS, 15, 4752, 1672), (FIBONACCI, 14, 847, 847)):
         g = build_graph(family, n)
         for group, nodes in ((no_symmetry, plain), (codes._symmetry_group, pruned)):
             monkeypatch.setattr(codes, "_symmetry_group", group)
@@ -936,7 +936,7 @@ def test_group_is_built_once_per_pruning_search(monkeypatch):
     for mode in ("first", "prove_none"):
         for node_budget in (None, 10**6):
             builds.clear()
-            assert find_perfect_code(g, mode, node_budget=node_budget).nodes == 137
+            assert find_perfect_code(g, mode, node_budget=node_budget).nodes == 25
             assert builds == [1], (mode, node_budget)
     builds.clear()
     assert find_perfect_code(g, "enumerate").count == 0
@@ -965,6 +965,75 @@ def test_deep_search_needs_no_recursion():
     for out in outs:
         assert out.status == "found" and out.nodes == 513
         assert len(out.witness) == 512 and is_perfect_code(g, out.witness)
+
+
+# ---------------------------------------------------------------------------
+# The DFS oracle, and the parity bans at the root of an even-n search
+# ---------------------------------------------------------------------------
+
+def test_dfs_oracle_needs_no_recursion():
+    # The even-weight words of length 12 are 2,048 vertices with no edge, so
+    # their one code holds all of them, 2,048 codewords deep.
+    g = InducedGraph(12, [w for w in range(1 << 12) if w.bit_count() % 2 == 0])
+    assert len(g) == 2048 > sys.getrecursionlimit()
+    assert count_perfect_codes_dfs(g) == 1
+    assert find_perfect_code(g, "first").status == "found"
+
+
+@settings(max_examples=50)
+@given(graph=induced_graphs(max_words=16))
+def test_dfs_oracle_matches_the_naive_scan_on_random_graphs(graph):
+    assert count_perfect_codes_dfs(graph) == enumerate_perfect_codes_naive(graph)
+
+
+def parity_kept(graph):
+    """The vertices of full degree and the vertices they leave allowed, as id bitmaps.
+
+    Read off the words: a vertex of full degree has all n of its one-bit
+    flips in the graph, and it leaves allowed itself and every vertex at
+    Hamming distance over 2 from it.
+    """
+    index = graph.index
+    full = [v for v in graph.vertices if all(v ^ 1 << i in index for i in range(graph.n))]
+    kept = [w for w in graph.vertices if all(w == v or (w ^ v).bit_count() > 2 for v in full)]
+    return sum(1 << index[v] for v in full), sum(1 << index[w] for w in kept)
+
+
+@st.composite
+def even_graphs_with_a_full_degree_vertex(draw, max_words=24):
+    """An induced graph of Q2, Q4 or Q6 that holds a vertex and all its flips, and codewords or None."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    center = draw(st.integers(0, (1 << n) - 1))
+    words = {center, *(center ^ 1 << i for i in range(n))}
+    words |= draw(st.sets(st.integers(0, (1 << n) - 1), max_size=max_words - len(words)))
+    graph = InducedGraph(n, sorted(words))
+    banned = draw(st.none() | st.sets(st.sampled_from(sorted(words)), max_size=3))
+    return graph, None if banned is None else codewords_outside(graph, banned)
+
+
+@settings(max_examples=150)
+@given(case=even_graphs_with_a_full_degree_vertex())
+def test_parity_bans_only_blocks_that_no_code_holds(case):
+    graph, codewords = case
+    allowed = (1 << len(graph)) - 1 if codewords is None else codewords.mask
+    full, kept = parity_kept(graph)
+    assert full
+    count = count_perfect_codes_dfs(graph, codewords)
+    # The fact, on the oracle alone: the vertices of full degree exclude no code.
+    assert count_perfect_codes_dfs(graph, VertexSet(graph, kept & allowed)) == count
+    # The bans the search makes: those, or every block once a vertex of full
+    # degree is itself banned.
+    masks = [graph.closed_mask(i) for i in range(len(graph))]
+    expected = 0 if full & ~(kept & allowed) else kept & allowed
+    assert codes._ban_by_parity(masks, allowed, graph.n) == expected
+    assert check_against_oracles(graph, codewords) == count
+
+
+def test_parity_bans_nothing_without_a_vertex_of_full_degree_or_at_odd_n():
+    # {00, 01} has no vertex of degree 2, and two codes, {00} and {01}.
+    # Every vertex of Q3 has full degree, but n is odd: Q3 has 4 codes.
+    for graph, count in ((InducedGraph(2, [0b00, 0b01]), 2), (build_graph(HYPERCUBE, 3), 4)):
+        assert check_against_oracles(graph) == count
 
 
 # ---------------------------------------------------------------------------

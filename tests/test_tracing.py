@@ -85,4 +85,4 @@ def test_tracer_measures_a_search_in_the_counted_state(capsys, monkeypatch):
         tracer.restore()
     capsys.readouterr()
     assert len(graphs.build_graph(words.LUCAS, 12)) >= codes.COUNTED_MIN_VERTICES
-    assert totals["graphs.masks_s"] > 0 and totals["codes.nodes"] == 137
+    assert totals["graphs.masks_s"] > 0 and totals["codes.nodes"] == 25
