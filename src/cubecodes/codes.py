@@ -83,11 +83,8 @@ For even n, search_constrained also bans, before the search, every block
 that overlaps N[v] for a vertex v of full degree, bar v's own, and every
 block if two such vertices lie within distance 2 or one is not allowed.
 Such a v, all n of whose one-bit flips are vertices, lies in every perfect
-code.  Let x be a code's indicator, so A·x = 1 for the closed-neighborhood
-matrix A, and y that of N[v]; then yᵀ·A·x = n + 1 is odd.  But
-|N[w] ∩ N[v]| is n + 1 at w = v, 2 at Hamming distance 1 or 2 (the common
-vertices are flips of v) and 0 further out, so yᵀ·A·x ≡ x_v (mod 2).  For
-odd n nothing is banned, and the search tree is as it was.
+code, by the parity argument in _ban_by_parity.  For odd n nothing is
+banned, and the search tree is as it was.
 
 Verdicts are three-valued: a search that hits its node or time budget
 reports budget-exceeded and never masquerades as an exhaustion proof.
@@ -194,26 +191,24 @@ class SearchOutcome:
 # to date instead of re-counting them by popcount at every node.  Below it
 # the scan finds a forced vertex within a few popcounts, and the per-move
 # bookkeeping costs more than it saves.  Counted / bitmap time of a full
-# search (enumerate on the plain tree, before it was pruned by symmetry;
-# best of 21 interleaved runs, busy 2-CPU host, Python 3.11):
+# find_perfect_code enumerate call on the default tree (pruned by symmetry,
+# parity bans at even n), set-up included; min of 9 and of 15 interleaved
+# in-process runs, which agreed within 0.1, busy 2-CPU host, Python 3.11:
 #
-#   vertices  graph                                   counted / bitmap
-#   76-89     Lucas n=9, Fibonacci n=9                0.84-0.96
-#   99-128    the n=7 graphs: Q7, lucas1s:4..7,       1.24-2.17
+#   vertices  graph                                   nodes        counted / bitmap
+#   76-89     Lucas n=9, Fibonacci n=9                27, 66       1.04-1.06, 0.82-0.83
+#   99-128    the n=7 graphs: Q7, lucas1s:4..7,       158-1535     0.99-2.79
 #             fib1s:5..7
-#   123       Lucas n=10                              0.98
-#   131-149   lucas1s:3 n=8, Fibonacci n=10,          0.48-0.86
-#             fib1s:3 n=8
-#   191-208   lucas1s:4 n=8, Lucas n=11, fib1s:4 n=8  0.45-0.61
-#   223-256   lucas1s:5..7 n=8, fib1s:5..7 n=8,       0.38-0.57
-#             Fibonacci n=11, Q8
-#   322       Lucas n=12                              0.43
+#   123-322   Lucas n=10, 12, Fibonacci n=10, Q8,     1-25         0.85-1.04
+#             lucas1s:3..7 n=8, fib1s:3..7 n=8
+#   199-233   Lucas n=11, Fibonacci n=11              315, 414     0.51-0.63
 #
-# Lucas and Fibonacci graphs break even near 90 vertices, but the n=7
-# graphs, which branch more and prune less, do not; every graph measured
-# above 128 vertices (Q7's count) gains.  On the weighted, symmetry-pruned
-# enumerate tree the n=7 graphs still lose (two rounds, same method): Q7
-# 1.81-1.97, lucas1s:7 1.65-2.14, fib1s:6 1.90-2.15, lucas1s:4 1.14-1.17.
+# nodes is the bitmap state's count.  Every even-n graph above is decided
+# by the parity bans in at most 25 nodes, so set-up dominates there and the
+# state hardly matters.  Of the graphs that branch, the n=7 ones, which
+# branch more and prune less, lose in the counted state (lucas1s:4 breaks
+# even), Lucas n=9 breaks even, Fibonacci n=9 gains, and the two above 128
+# vertices (Q7's count) gain.
 COUNTED_MIN_VERTICES = 129
 
 
@@ -637,14 +632,26 @@ def _candidate_order(n_vertices: int, seed: int) -> list[int] | None:
 def _ban_by_parity(masks: list[int], allowed: int, n: int) -> int:
     """allowed less every block that overlaps the block of a vertex of full degree, bar its own.
 
-    For even n every vertex of full degree, whose block holds n + 1 ids,
-    lies in every perfect code (see search_constrained), so no code holds
-    another block that overlaps its block.  The vertices of full degree are
-    taken in id order.  One that is not allowed at its turn, banned from
-    the start or by an earlier one within distance 2, lies in no code, and
-    then 0 is returned, so that either cover state ends at its root.  One
-    that is allowed bans the rest of its radius-2 ball, so each later one
-    within distance 2 of it is then not allowed at its turn.
+    For even n a vertex v of full degree, whose block N[v] holds n + 1 ids
+    (all n of its one-bit flips are vertices), lies in every perfect code,
+    also when the codewords are held to a set (Biggs, "Perfect codes in
+    graphs", J. Combin. Theory B 15, 1973).  Let A be the
+    closed-neighborhood matrix and x a code's indicator, so A·x = 1 over
+    the integers, and let y be the indicator of N[v].  Then
+    yᵀ·A·x = |N[v]| = n + 1, which is odd, and yᵀ·A·x is the sum over w of
+    |N[w] ∩ N[v]|·x_w.  That is n + 1 at w = v; 2 at Hamming distance 1 or
+    2, the two vertices or the two common neighbors, both flips of v; and 0
+    further out.  So x_v ≡ 1 (mod 2), and no code holds another block that
+    overlaps N[v].  For odd n, n + 1 is even, the sum says nothing of x_v,
+    and search_constrained does not call this.
+
+    The vertices of full degree are taken in id order.  One that is not
+    allowed at its turn, banned from the start or by an earlier one within
+    distance 2, lies in no code, and then 0 is returned, so that either
+    cover state ends at its root.  One that is allowed bans the rest of its
+    radius-2 ball, so each later one within distance 2 of it is then not
+    allowed at its turn.  Every automorphism maps the vertices of full
+    degree onto themselves, so the bans keep every element of the group.
     """
     blocks = _Blocks(masks)
     for v, mask in enumerate(masks):
@@ -680,19 +687,10 @@ def search_constrained(
     codes: an enumeration with collect_witnesses lists every code, in
     ascending order of their id tuples.
 
-    For even n, a vertex v of full degree, all n of its one-bit flips
-    vertices, lies in every perfect code, so before the search starts
-    _ban_by_parity bans every other block that overlaps N[v] (Biggs,
-    "Perfect codes in graphs", J. Combin. Theory B 15, 1973).  Let A be the
-    closed-neighborhood matrix and x a code's indicator, so A·x = 1 over
-    the integers, and let y be the indicator of N[v].  Then
-    yᵀ·A·x = |N[v]| = n + 1, which is odd, and yᵀ·A·x is the sum over w of
-    |N[w] ∩ N[v]|·x_w.  That is n + 1 at w = v; 2 at Hamming distance 1 or
-    2, the two vertices or the two common neighbors, both flips of v; and 0
-    further out.  So x_v ≡ 1 (mod 2), also when the codewords are held to
-    a set.  For odd n, n + 1 is even, the sum says nothing of x_v, and
-    nothing is banned.  Every automorphism maps the vertices of full degree
-    onto themselves, so the bans keep every element of the group.
+    For even n, before the search starts, _ban_by_parity bans every block
+    that overlaps N[v], bar v's own, for each vertex v of full degree, which
+    lies in every perfect code; its docstring has the proof.  For odd n
+    nothing is banned.
     """
     if node_budget is None:
         node_budget = default_node_budget()

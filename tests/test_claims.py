@@ -4,6 +4,7 @@ import pytest
 
 from cubecodes import CLAIM_IDS, FIBONACCI, LUCAS, claims, run_all, run_claim
 from cubecodes.claims import (
+    applicable_params,
     check_cover_count_arithmetic,
     check_fibonacci_nonexistence,
     check_full_run_construction,
@@ -66,19 +67,12 @@ def test_nonexistence_below_n4_fails(check, n_max):
     assert report.evidence == {"n_max": n_max, "stage": "precondition n_max >= 4"}
 
 
-@pytest.mark.parametrize(
-    "check, n_max, stage",
-    [
-        (check_odd_square_arithmetic, 0, "precondition n_max >= 1"),
-        (check_cover_count_arithmetic, 0, "precondition n_max >= 9"),
-        (check_cover_count_arithmetic, 8, "precondition n_max >= 9"),
-    ],
-)
-def test_arithmetic_below_the_first_value_fails(check, n_max, stage):
-    # no odd n (arith-lemma) or n = 6p + 3 >= 9 (arith-thm) would be checked
-    report = check(n_max=n_max)
-    assert report.verdict == "fail"
-    assert report.evidence == {"n_max": n_max, "stage": stage}
+def test_arithmetic_runners_take_no_parameter():
+    # each statement is decided over one period of n, so no bound is left to set
+    for claim_id in ("arith-lemma", "arith-thm"):
+        assert applicable_params(claim_id, {"n_max": 10**6}) == {}
+        with pytest.raises(TypeError):
+            run_claim(claim_id, n_max=10)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -187,11 +181,42 @@ def test_low_weight_structure_rejects_small_n():
 
 
 def test_arithmetic_claims():
-    assert check_odd_square_arithmetic(n_max=100_000).verdict == "pass"
-    assert check_cover_count_arithmetic(n_max=100_000).verdict == "pass"
+    for check in (check_odd_square_arithmetic, check_cover_count_arithmetic):
+        report = check()
+        assert (report.verdict, report.params) == ("pass", {}), report
     # spot values quoted with the claims
     assert (7 * 7 + 1) % 6 == 2
     assert (2 * 1 + 1) * (18 * 1 - 12 * 1 + 1) == 21  # p = 1, n = 9, odd
+
+
+def test_arithmetic_evidence_covers_every_residue_the_argument_needs():
+    lemma = check_odd_square_arithmetic().evidence
+    thm = check_cover_count_arithmetic().evidence
+    assert set(lemma["square_plus_1_mod_6"]) == {str(r) for r in range(6) if r % 2}
+    # n = 6p + 3 mod 12, over every p
+    assert set(thm["numerator_mod_12"]) == {str((6 * p + 3) % 12) for p in range(12)}
+    assert set(thm["n_times_n_minus_3_mod_3"]) == {"0", "1", "2"}
+    # two cubics in p are equal once they agree at four values of p
+    assert len(set(thm["factored_form_p"])) >= 4
+
+
+def test_arithmetic_residues_agree_with_every_n_below_10_000():
+    # each value read at a residue is the value at every n of that residue
+    lemma = check_odd_square_arithmetic().evidence["square_plus_1_mod_6"]
+    thm = check_cover_count_arithmetic().evidence
+    for n in range(1, 10_000, 2):
+        assert (n * n + 1) % 6 == lemma[str(n % 6)] != 0, n
+    for n in range(3, 10_000, 6):
+        numerator = n * (n * n - 10 * n + 23)
+        assert numerator % 12 == thm["numerator_mod_12"][str(n % 12)], n
+        quotient, rest = divmod(numerator, 6)
+        p = (n - 3) // 6
+        assert rest == 0 and quotient % 2 == 1, n
+        assert quotient == (2 * p + 1) * (18 * p * p - 12 * p + 1), n
+    for n in range(10_000):
+        product = n * (n - 3) % 3
+        assert product == thm["n_times_n_minus_3_mod_3"][str(n % 3)], n
+        assert (product == 0) == (n % 3 == 0), n
 
 
 def test_hypercube_avoidance_n3():

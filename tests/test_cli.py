@@ -221,16 +221,16 @@ def test_back_to_back_calls_share_no_state(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["status"], payload["witness"], payload["seed"]) == ("found", ["000"], 0)
-    code, out, _ = run_cli(capsys, "verify", "--claim", "arith-thm", "--n-max", "10", "--format", "json")
+    code, out, _ = run_cli(capsys, "verify", "--claim", "prop-count", "--n-max", "6", "--format", "json")
     assert code == 0
     [report] = json.loads(out)
-    assert (report["claim"], report["verdict"], report["params"]) == ("arith-thm", "pass", {"n_max": 10})
+    assert (report["claim"], report["verdict"], report["params"]["n_max"]) == ("prop-count", "pass", 6)
     with pytest.raises(SystemExit) as exit_info:
         main(["search", "--family", "lucas"])
     assert exit_info.value.code == 2
     assert "--n" in capsys.readouterr().err
-    code, out, _ = run_cli(capsys, "verify", "--claim", "arith-thm", "--n-max", "10")
-    assert code == 0 and out.startswith("PASS     arith-thm")
+    code, out, _ = run_cli(capsys, "verify", "--claim", "prop-count", "--n-max", "6")
+    assert code == 0 and out.startswith("PASS     prop-count")
 
 
 def test_search_enumerate_count(capsys):
@@ -439,8 +439,6 @@ def test_verify_range_that_checks_nothing_is_usage_error(capsys, argv, flag):
         ["--claim", "thm-main", "--n-max", "2"],
         ["--claim", "fib-nonexistence", "--n-max", "0"],
         ["--claim", "prop-qn-avoid", "--n-set", "0"],
-        ["--claim", "arith-lemma", "--n-max", "0"],
-        ["--claim", "arith-thm", "--n-max", "8"],
     ],
 )
 def test_verify_range_below_the_claim_fails(capsys, argv):
@@ -482,10 +480,13 @@ def test_verify_all_refuses_range_flags(capsys, flags):
         ("lemma-0n", ["--n-max", "8"]),
         ("prop-1n", ["--n-set", "3"]),
         ("thm-main", ["--p-set", "2,3"]),
+        ("arith-lemma", ["--n-max", "5"]),
+        ("arith-thm", ["--n-max", "8"]),
     ],
 )
 def test_verify_refuses_a_range_flag_the_claim_does_not_take(capsys, claim, flags):
-    # each used to print PASS with the flag dropped
+    # each but the arithmetic claims' --n-max used to print PASS with the
+    # flag dropped; those two claims decide every n over one period
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--claim", claim, *flags])
     assert exit_info.value.code == 2
