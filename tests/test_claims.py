@@ -67,6 +67,30 @@ def test_nonexistence_below_n4_fails(check, n_max):
     assert report.evidence == {"n_max": n_max, "stage": "precondition n_max >= 4"}
 
 
+@pytest.mark.parametrize(
+    "check, n_max, stage",
+    [
+        (check_odd_square_arithmetic, 0, "precondition n_max >= 1"),
+        (check_cover_count_arithmetic, 0, "precondition n_max >= 9"),
+        (check_cover_count_arithmetic, 8, "precondition n_max >= 9"),
+    ],
+)
+def test_arithmetic_below_the_first_value_fails(check, n_max, stage):
+    # a bound below the first odd n (arith-lemma) or n = 6p + 3 >= 9 (arith-thm)
+    # once failed at this stage; a bound is now refused, and the first value
+    # is decided by its residue with no precondition left to fail
+    with pytest.raises(TypeError):
+        check(n_max=n_max)
+    report = check()
+    assert report.verdict == "pass" and "stage" not in report.evidence
+    first = int(stage.rsplit(" ", 1)[1])
+    key, modulus = {
+        check_odd_square_arithmetic: ("square_plus_1_mod_6", 6),
+        check_cover_count_arithmetic: ("numerator_mod_12", 12),
+    }[check]
+    assert str(first % modulus) in report.evidence[key]
+
+
 def test_arithmetic_runners_take_no_parameter():
     # each statement is decided over one period of n, so no bound is left to set
     for claim_id in ("arith-lemma", "arith-thm"):
